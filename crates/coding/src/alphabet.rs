@@ -89,7 +89,7 @@ impl LevelAlphabet {
         };
         Ok(Displacement {
             one_side,
-            fraction: (level + 1) as f64 / self.levels as f64,
+            fraction: level_fraction(level, self.levels),
         })
     }
 
@@ -109,10 +109,7 @@ impl LevelAlphabet {
                 alphabet: self.size(),
             });
         }
-        let level = (d.fraction * self.levels as f64)
-            .round()
-            .clamp(1.0, self.levels as f64) as usize
-            - 1;
+        let level = snap(d.fraction, self.levels);
         Ok(if d.one_side {
             self.levels + level
         } else {
@@ -124,32 +121,18 @@ impl LevelAlphabet {
     /// MSB-first, zero-padding the tail.
     #[must_use]
     pub fn pack(&self, bits: &BitString) -> Vec<usize> {
-        let w = self.bits_per_symbol().max(1);
-        bits.as_slice()
-            .chunks(w)
-            .map(|chunk| {
-                let mut v = 0usize;
-                for b in chunk {
-                    v = (v << 1) | usize::from(b.as_bool());
-                }
-                // Pad the tail as if the missing bits were zero.
-                v << (w - chunk.len())
-            })
-            .collect()
+        pack_words(bits, self.bits_per_symbol().max(1)).collect()
     }
 
     /// Unpacks symbols back into a bit string (`count` total bits, to strip
     /// the padding added by [`LevelAlphabet::pack`]).
     #[must_use]
     pub fn unpack(&self, symbols: &[usize], count: usize) -> BitString {
-        let w = self.bits_per_symbol().max(1);
-        let mut bits = BitString::new();
-        for &s in symbols {
-            for i in (0..w).rev() {
-                bits.push(Bit::from_bool(s & (1 << i) != 0));
-            }
-        }
-        bits.prefix(count)
+        unpack_words(
+            symbols.iter().copied(),
+            self.bits_per_symbol().max(1),
+            count,
+        )
     }
 
     /// How many moves a message of `bit_count` bits costs under this
@@ -221,7 +204,7 @@ impl MagnitudeAlphabet {
                 alphabet: self.levels,
             });
         }
-        Ok((level + 1) as f64 / self.levels as f64)
+        Ok(level_fraction(level, self.levels))
     }
 
     /// Below this fraction an observation is *silence*, not a symbol:
@@ -239,11 +222,7 @@ impl MagnitudeAlphabet {
         if fraction.is_nan() || fraction < self.silence_threshold() {
             return None;
         }
-        let level = (fraction * self.levels as f64)
-            .round()
-            .clamp(1.0, self.levels as f64) as usize
-            - 1;
-        Some(level)
+        Some(snap(fraction, self.levels))
     }
 
     /// Packs a bit string into `bits_per_symbol`-wide words, MSB-first,
@@ -251,16 +230,8 @@ impl MagnitudeAlphabet {
     /// [`fec`](crate::fec).
     #[must_use]
     pub fn pack(&self, bits: &BitString) -> Vec<u16> {
-        let w = self.bits_per_symbol();
-        bits.as_slice()
-            .chunks(w)
-            .map(|chunk| {
-                let mut v = 0u16;
-                for b in chunk {
-                    v = (v << 1) | u16::from(b.as_bool());
-                }
-                v << (w - chunk.len())
-            })
+        pack_words(bits, self.bits_per_symbol())
+            .map(|v| v as u16)
             .collect()
     }
 
@@ -268,15 +239,48 @@ impl MagnitudeAlphabet {
     /// strip [`MagnitudeAlphabet::pack`]'s padding.
     #[must_use]
     pub fn unpack(&self, symbols: &[u16], count: usize) -> BitString {
-        let w = self.bits_per_symbol();
-        let mut bits = BitString::new();
-        for &s in symbols {
-            for i in (0..w).rev() {
-                bits.push(Bit::from_bool(s & (1 << i) != 0));
-            }
-        }
-        bits.prefix(count)
+        unpack_words(
+            symbols.iter().map(|&s| usize::from(s)),
+            self.bits_per_symbol(),
+            count,
+        )
     }
+}
+
+/// The displacement fraction of level `level` of `levels`, uniform in
+/// `(0, 1]`: `(level+1)/levels`, so even the lowest level is a visible
+/// move.
+fn level_fraction(level: usize, levels: usize) -> f64 {
+    (level + 1) as f64 / levels as f64
+}
+
+/// Snaps a positive fraction to the nearest of `levels` levels:
+/// `round(fraction · levels)`, clamped to `1..=levels`, minus one.
+fn snap(fraction: f64, levels: usize) -> usize {
+    (fraction * levels as f64).round().clamp(1.0, levels as f64) as usize - 1
+}
+
+/// Packs a bit string into `w`-bit words, MSB-first, zero-padding the
+/// tail as if the missing bits were zero.
+fn pack_words(bits: &BitString, w: usize) -> impl Iterator<Item = usize> + '_ {
+    bits.as_slice().chunks(w).map(move |chunk| {
+        let v = chunk
+            .iter()
+            .fold(0usize, |v, b| (v << 1) | usize::from(b.as_bool()));
+        v << (w - chunk.len())
+    })
+}
+
+/// Unpacks `w`-bit words MSB-first, truncated to `count` bits to strip
+/// [`pack_words`]'s padding.
+fn unpack_words(symbols: impl Iterator<Item = usize>, w: usize, count: usize) -> BitString {
+    let mut bits = BitString::new();
+    for s in symbols {
+        for i in (0..w).rev() {
+            bits.push(Bit::from_bool(s & (1 << i) != 0));
+        }
+    }
+    bits.prefix(count)
 }
 
 #[cfg(test)]

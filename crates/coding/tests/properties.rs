@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use stigmergy_coding::addressing::{decode_digits, digits_for, encode_digits};
-use stigmergy_coding::alphabet::{LevelAlphabet, MagnitudeAlphabet};
+use stigmergy_coding::alphabet::{Displacement, LevelAlphabet, MagnitudeAlphabet};
 use stigmergy_coding::bits::{Bit, BitString};
 use stigmergy_coding::checksum::{protect, verify};
 use stigmergy_coding::fec::{protect_bytes, recover_bytes, SymbolFec, BLOCK_LEN};
@@ -354,5 +354,25 @@ proptest! {
             let f = a.fraction(usize::from(w)).unwrap();
             prop_assert_eq!(a.classify(f + noise), Some(usize::from(w)));
         }
+    }
+
+    #[test]
+    fn level_and_magnitude_alphabets_share_one_quantizer(
+        levels_pow in 1u32..=6,
+        fraction_sel in any::<u32>(),
+        bits in bitstring(),
+    ) {
+        let levels = 1usize << levels_pow;
+        let level = LevelAlphabet::new(levels).unwrap();
+        let magnitude = MagnitudeAlphabet::new(levels).unwrap();
+        // Any fraction from the silence threshold up to past full scale.
+        let lo = magnitude.silence_threshold();
+        let fraction = lo + (1.5 - lo) * f64::from(fraction_sel) / f64::from(u32::MAX);
+        let zero_side = level
+            .decode(Displacement { one_side: false, fraction })
+            .unwrap();
+        prop_assert_eq!(Some(zero_side), magnitude.classify(fraction));
+        prop_assert_eq!(level.unpack(&level.pack(&bits), bits.len()), bits.clone());
+        prop_assert_eq!(magnitude.unpack(&magnitude.pack(&bits), bits.len()), bits);
     }
 }

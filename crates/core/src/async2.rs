@@ -287,6 +287,15 @@ impl Default for Async2 {
     }
 }
 
+impl crate::session::PairProtocol for Async2 {
+    fn send(&mut self, payload: &[u8]) {
+        Async2::send(self, payload);
+    }
+    fn inbox(&self) -> &[Vec<u8>] {
+        Async2::inbox(self)
+    }
+}
+
 impl MovementProtocol for Async2 {
     fn on_activate(&mut self, view: &View) -> Point {
         let own = view.own_position();

@@ -106,6 +106,9 @@ impl<P: SwarmProtocol> SwarmProtocol for Flocking<P> {
     fn failure(&self) -> Option<&crate::CoreError> {
         self.inner.failure()
     }
+    fn fec_stats(&self) -> (u64, u64) {
+        self.inner.fec_stats()
+    }
 }
 
 #[cfg(test)]

@@ -545,6 +545,18 @@ impl Paced2 {
     }
 }
 
+impl crate::session::PairProtocol for Paced2 {
+    fn send(&mut self, payload: &[u8]) {
+        Paced2::send(self, payload);
+    }
+    fn inbox(&self) -> &[Vec<u8>] {
+        Paced2::inbox(self)
+    }
+    fn fec_stats(&self) -> (u64, u64) {
+        (self.fec_corrected(), self.fec_rejected())
+    }
+}
+
 impl MovementProtocol for Paced2 {
     fn on_activate(&mut self, view: &View) -> Point {
         if self.home.is_none() {
@@ -840,6 +852,27 @@ impl PacedSwarm {
             self.job = None;
         }
         target
+    }
+}
+
+impl crate::session::SwarmProtocol for PacedSwarm {
+    fn queue_label(&mut self, label: usize, payload: &[u8]) {
+        self.send_label(label, payload);
+    }
+    fn queue_broadcast(&mut self, payload: &[u8]) {
+        self.send_broadcast(payload);
+    }
+    fn inbox_entries(&self) -> &[InboxEntry] {
+        self.inbox()
+    }
+    fn swarm_geometry(&self) -> Option<&SwarmGeometry> {
+        self.geometry()
+    }
+    fn failure(&self) -> Option<&crate::CoreError> {
+        self.init_error()
+    }
+    fn fec_stats(&self) -> (u64, u64) {
+        (self.fec_corrected(), self.fec_rejected())
     }
 }
 

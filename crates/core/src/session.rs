@@ -1,11 +1,19 @@
-//! High-level sessions: a message-passing network over movement signals.
+//! High-level sessions: a message-passing channel over movement signals.
 //!
-//! The protocols address peers by *labels* in a naming scheme, while an
-//! application thinks in robot indices. [`Network`] bridges the two: it
-//! owns the engine, translates indices to labels (the naming functions are
-//! similarity-invariant, so labels computed from world positions agree
-//! with what each robot computes in its private frame), tracks what was
-//! sent, and runs the system until everything is delivered.
+//! This module is the one place an [`Engine`] becomes a session. The
+//! protocols address peers by *labels* in a naming scheme, while an
+//! application thinks in robot indices. [`Network`] bridges the two for
+//! the swarm protocols: it owns the engine, translates indices to labels
+//! (the naming functions are similarity-invariant, so labels computed
+//! from world positions agree with what each robot computes in its
+//! private frame), tracks what was sent, and runs the system until
+//! everything is delivered. [`Pair`] does the same for the two-robot
+//! protocols, whose only peer needs no address, and [`HardenedSession`]
+//! layers retransmission and a secondary channel over a [`SyncNetwork`].
+//!
+//! The convenience constructors build a ready-made engine; batch runtimes
+//! configure their own (schedule, fault plan, trace observer) and wrap it
+//! with [`Network::from_engine`] or [`Pair::from_engine`].
 //!
 //! ```
 //! use stigmergy::session::SyncNetwork;
@@ -39,8 +47,9 @@ use stigmergy_scheduler::{FairAsync, FaultPlan, Schedule, Synchronous, WakeAllFi
 
 /// The protocol-side interface a [`Network`] drives.
 ///
-/// Implemented by [`SyncSwarm`] and [`AsyncSwarm`]; sealed in spirit — the
-/// session layer is written against exactly these semantics.
+/// Implemented by [`SyncSwarm`], [`AsyncSwarm`], and
+/// [`crate::paced::PacedSwarm`]; sealed in spirit — the session layer is
+/// written against exactly these semantics.
 pub trait SwarmProtocol: MovementProtocol {
     /// Queues a message for the robot labelled `label` (in this robot's
     /// naming).
@@ -53,51 +62,39 @@ pub trait SwarmProtocol: MovementProtocol {
     fn swarm_geometry(&self) -> Option<&SwarmGeometry>;
     /// A preprocessing failure, if any.
     fn failure(&self) -> Option<&CoreError>;
-}
-
-impl SwarmProtocol for SyncSwarm {
-    fn queue_label(&mut self, label: usize, payload: &[u8]) {
-        self.send_label(label, payload);
-    }
-    fn queue_broadcast(&mut self, payload: &[u8]) {
-        self.send_broadcast(payload);
-    }
-    fn inbox_entries(&self) -> &[InboxEntry] {
-        self.inbox()
-    }
-    fn swarm_geometry(&self) -> Option<&SwarmGeometry> {
-        self.geometry()
-    }
-    fn failure(&self) -> Option<&CoreError> {
-        self.init_error()
+    /// `(corrected, rejected)` FEC counters; protocols without a coded
+    /// channel report zeros.
+    fn fec_stats(&self) -> (u64, u64) {
+        (0, 0)
     }
 }
 
-impl SwarmProtocol for AsyncSwarm {
-    fn queue_label(&mut self, label: usize, payload: &[u8]) {
-        self.send_label(label, payload);
-    }
-    fn queue_broadcast(&mut self, payload: &[u8]) {
-        self.send_broadcast(payload);
-    }
-    fn inbox_entries(&self) -> &[InboxEntry] {
-        self.inbox()
-    }
-    fn swarm_geometry(&self) -> Option<&SwarmGeometry> {
-        self.geometry()
-    }
-    fn failure(&self) -> Option<&CoreError> {
-        self.init_error()
-    }
-}
-
-/// A plain-data summary of a session: how much work the engine did and
-/// whether every queued message arrived.
+/// The protocol-side interface a [`Pair`] drives: the two-robot
+/// protocols, whose only possible peer needs no address.
 ///
-/// Extracted via [`Network::report`] (and the façades' equivalents); all
-/// fields are order-independent sums or booleans, so reports aggregate
-/// the same way regardless of which worker thread ran the session.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Implemented by [`crate::sync2::Sync2`], [`Async2`], and
+/// [`crate::paced::Paced2`].
+pub trait PairProtocol: MovementProtocol {
+    /// Queues a message for the peer.
+    fn send(&mut self, payload: &[u8]);
+    /// Messages received so far, in order.
+    fn inbox(&self) -> &[Vec<u8>];
+    /// `(corrected, rejected)` FEC counters; protocols without a coded
+    /// channel report zeros.
+    fn fec_stats(&self) -> (u64, u64) {
+        (0, 0)
+    }
+}
+
+/// A plain-data summary of a session: how much work the engine did,
+/// whether every queued message arrived, and what the channel corrected
+/// or let through.
+///
+/// Extracted via [`Network::report`] (and the other sessions'
+/// equivalents); all fields are order-independent sums, minima, or
+/// booleans, so reports aggregate the same way regardless of which
+/// worker thread ran the session.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SessionReport {
     /// Number of robots.
     pub cohort: usize,
@@ -111,6 +108,94 @@ pub struct SessionReport {
     pub moves: u64,
     /// Faults injected by the engine's plan.
     pub faults_injected: u64,
+    /// Inbox entries, at robots still owed a message, that matched none
+    /// of the messages owed to them — garbled or misattributed
+    /// deliveries. Detect-or-reject demands 0.
+    pub corrupt: u64,
+    /// FEC symbol corrections (coded protocols; the hardened secondary).
+    pub fec_corrected: u64,
+    /// FEC blocks rejected as beyond the correction radius.
+    pub fec_rejected: u64,
+    /// Retransmissions issued (hardened sessions; 0 elsewhere).
+    pub retransmissions: u64,
+    /// Smallest pairwise distance over every configuration the engine
+    /// produced — the collision margin.
+    pub min_distance: f64,
+}
+
+impl SessionReport {
+    /// The engine's share of a report: cohort, work counters, and the
+    /// collision margin.
+    fn of_engine<P: MovementProtocol>(engine: &Engine<P>) -> Self {
+        let stats = engine.stats();
+        Self {
+            cohort: engine.cohort(),
+            steps: stats.steps,
+            activations: stats.activations,
+            moves: stats.moves,
+            faults_injected: stats.faults_injected,
+            min_distance: engine.min_pairwise_distance(),
+            ..Self::default()
+        }
+    }
+}
+
+/// The messages a session queued and has not yet seen arrive.
+///
+/// Delivery is checked incrementally: each check scans only the inbox
+/// entries that arrived since the previous one, and only at robots still
+/// owed a message, so an instant without new traffic costs a few
+/// comparisons and allocates nothing. Matching respects multiplicity —
+/// each inbox entry meets at most one owed message.
+#[derive(Debug)]
+struct Expectations {
+    /// `(from, to, payload)` still owed.
+    owed: Vec<(usize, usize, Vec<u8>)>,
+    /// Per robot: inbox entries already scanned.
+    scanned: Vec<usize>,
+    /// Scanned entries that matched nothing owed to their robot.
+    unmatched: u64,
+}
+
+impl Expectations {
+    fn new(cohort: usize) -> Self {
+        Self {
+            owed: Vec::new(),
+            scanned: vec![0; cohort],
+            unmatched: 0,
+        }
+    }
+
+    fn expect(&mut self, from: usize, to: usize, payload: &[u8]) {
+        self.owed.push((from, to, payload.to_vec()));
+    }
+
+    fn all_met(&self) -> bool {
+        self.owed.is_empty()
+    }
+
+    /// Where robot `to`'s unscanned inbox entries start, if its inbox
+    /// has grown past them to `len` and it is still owed a message.
+    fn unscanned(&self, to: usize, len: usize) -> Option<usize> {
+        let start = self.scanned[to];
+        (len > start && self.owed.iter().any(|(_, t, _)| *t == to)).then_some(start)
+    }
+
+    /// Scans robot `to`'s new inbox entries, given as `(sender, payload)`;
+    /// a sender of `None` could not be identified and matches nothing.
+    fn receive<'a>(&mut self, to: usize, entries: impl Iterator<Item = (Option<usize>, &'a [u8])>) {
+        for (from, payload) in entries {
+            self.scanned[to] += 1;
+            let owed = self
+                .owed
+                .iter()
+                .position(|(f, t, p)| Some(*f) == from && *t == to && p == payload);
+            match owed {
+                Some(k) => drop(self.owed.swap_remove(k)),
+                None => self.unmatched += 1,
+            }
+        }
+    }
 }
 
 /// A message-passing network over movement signals.
@@ -118,7 +203,7 @@ pub struct SessionReport {
 pub struct Network<P> {
     engine: Engine<P>,
     scheme: NamingScheme,
-    expectations: Vec<(usize, usize, Vec<u8>)>,
+    expected: Expectations,
 }
 
 /// A synchronous network (protocols P1–P4 territory).
@@ -188,11 +273,7 @@ impl SyncNetwork {
             .schedule(Synchronous)
             .frame_seed(seed)
             .build()?;
-        Ok(Self {
-            engine,
-            scheme,
-            expectations: Vec::new(),
-        })
+        Ok(Self::from_engine(engine, scheme))
     }
 }
 
@@ -225,15 +306,25 @@ impl AsyncNetwork {
             .schedule(WakeAllFirst::new(schedule))
             .frame_seed(seed)
             .build()?;
-        Ok(Self {
-            engine,
-            scheme: NamingScheme::BySec,
-            expectations: Vec::new(),
-        })
+        Ok(Self::from_engine(engine, NamingScheme::BySec))
     }
 }
 
 impl<P: SwarmProtocol> Network<P> {
+    /// Wraps an engine the caller configured — schedule, capabilities,
+    /// fault plan, trace observers — whose robots address each other
+    /// under `scheme`. The scheme must be the one the protocols were
+    /// built with, or sends reach the wrong robots.
+    #[must_use]
+    pub fn from_engine(engine: Engine<P>, scheme: NamingScheme) -> Self {
+        let expected = Expectations::new(engine.cohort());
+        Self {
+            engine,
+            scheme,
+            expected,
+        }
+    }
+
     /// Number of robots.
     #[must_use]
     pub fn cohort(&self) -> usize {
@@ -246,7 +337,8 @@ impl<P: SwarmProtocol> Network<P> {
         &self.engine
     }
 
-    /// Mutable access to the underlying engine.
+    /// Mutable access to the underlying engine. Instants stepped through
+    /// it directly are accounted for delivery at the network's next run.
     pub fn engine_mut(&mut self) -> &mut Engine<P> {
         &mut self.engine
     }
@@ -273,9 +365,9 @@ impl<P: SwarmProtocol> Network<P> {
         if payload.len() > stigmergy_coding::framing::MAX_PAYLOAD {
             return Err(CoreError::PayloadTooLarge { len: payload.len() });
         }
-        let label = self.label_from_world(from, to)?;
+        let label = self.label(from, to)?;
         self.engine.protocol_mut(from).queue_label(label, payload);
-        self.expectations.push((from, to, payload.to_vec()));
+        self.expected.expect(from, to, payload);
         Ok(())
     }
 
@@ -296,7 +388,7 @@ impl<P: SwarmProtocol> Network<P> {
         }
         self.engine.protocol_mut(from).queue_broadcast(payload);
         for to in (0..self.cohort()).filter(|&i| i != from) {
-            self.expectations.push((from, to, payload.to_vec()));
+            self.expected.expect(from, to, payload);
         }
         Ok(())
     }
@@ -313,19 +405,18 @@ impl<P: SwarmProtocol> Network<P> {
     /// * [`CoreError::Model`] on a model violation (collision).
     pub fn run_until_delivered(&mut self, max_steps: u64) -> Result<u64, CoreError> {
         for step in 0..max_steps {
-            self.engine.step()?;
+            self.engine.run(1)?;
             if step == 0 {
-                for i in 0..self.cohort() {
-                    if let Some(e) = self.engine.protocol(i).failure() {
-                        return Err(e.clone());
-                    }
+                if let Some(e) = self.engine.protocols().iter().find_map(P::failure) {
+                    return Err(e.clone());
                 }
             }
-            if self.all_delivered() {
+            self.note_deliveries();
+            if self.expected.all_met() {
                 return Ok(step + 1);
             }
         }
-        if self.all_delivered() {
+        if self.expected.all_met() {
             Ok(max_steps)
         } else {
             Err(CoreError::Timeout { steps: max_steps })
@@ -339,53 +430,40 @@ impl<P: SwarmProtocol> Network<P> {
     /// [`CoreError::Model`] on a model violation.
     pub fn run(&mut self, steps: u64) -> Result<(), CoreError> {
         self.engine.run(steps)?;
+        self.note_deliveries();
         Ok(())
     }
 
-    /// Whether every queued message has reached its addressee.
+    /// Whether every queued message has reached its addressee, as of the
+    /// last instant this network ran.
     ///
     /// Matching respects multiplicity: sending the same payload to the
-    /// same robot twice requires two inbox entries. Cost is linear in the
-    /// number of expectations plus inbox sizes (grouped counting), so it
-    /// is safe to call every instant of a long run.
+    /// same robot twice requires two inbox entries. Delivery is tracked
+    /// incrementally as the network runs, so this is a constant-time read.
     #[must_use]
     pub fn all_delivered(&self) -> bool {
-        use std::collections::BTreeMap;
-        if self.expectations.is_empty() {
-            return true;
-        }
-        let mut expected: BTreeMap<(usize, usize, &[u8]), usize> = BTreeMap::new();
-        for (from, to, payload) in &self.expectations {
-            *expected
-                .entry((*from, *to, payload.as_slice()))
-                .or_insert(0) += 1;
-        }
-        let mut inboxes: BTreeMap<usize, Vec<(usize, Vec<u8>)>> = BTreeMap::new();
-        expected.into_iter().all(|((from, to, payload), need)| {
-            let inbox = inboxes.entry(to).or_insert_with(|| self.inbox(to));
-            inbox
-                .iter()
-                .filter(|(s, p)| *s == from && p == payload)
-                .count()
-                >= need
-        })
+        self.expected.all_met()
     }
 
-    /// Summarizes the session so far: cohort size, delivery status, and
-    /// the engine's cumulative counters.
+    /// Summarizes the session so far: cohort size, delivery status, the
+    /// engine's cumulative counters, and the protocols' FEC counters.
     ///
     /// Plain copyable data, independent of trace recording — this is the
     /// currency batch runtimes collect from finished sessions.
     #[must_use]
     pub fn report(&self) -> SessionReport {
-        let stats = self.engine.stats();
+        let (fec_corrected, fec_rejected) = self
+            .engine
+            .protocols()
+            .iter()
+            .map(P::fec_stats)
+            .fold((0, 0), |(c, r), (ci, ri)| (c + ci, r + ri));
         SessionReport {
-            cohort: self.cohort(),
             delivered: self.all_delivered(),
-            steps: stats.steps,
-            activations: stats.activations,
-            moves: stats.moves,
-            faults_injected: stats.faults_injected,
+            corrupt: self.expected.unmatched,
+            fec_corrected,
+            fec_rejected,
+            ..SessionReport::of_engine(&self.engine)
         }
     }
 
@@ -394,31 +472,41 @@ impl<P: SwarmProtocol> Network<P> {
     /// Empty before the first instant (geometry not yet built).
     #[must_use]
     pub fn inbox(&self, robot: usize) -> Vec<(usize, Vec<u8>)> {
-        let Some(g) = self.engine.protocol(robot).swarm_geometry() else {
-            return Vec::new();
-        };
         self.engine
             .protocol(robot)
             .inbox_entries()
             .iter()
-            .filter_map(|e| Some((self.home_to_engine(robot, g, e.sender)?, e.payload.clone())))
+            .filter_map(|e| Some((self.robot_at(robot, e.sender)?, e.payload.clone())))
             .collect()
     }
 
-    /// Translates one robot's home index into an engine index by matching
-    /// world home positions.
-    fn home_to_engine(&self, robot: usize, g: &SwarmGeometry, home: usize) -> Option<usize> {
-        let world = self.engine.frames()[robot].to_world(g.home(home));
-        self.engine
-            .trace()
-            .initial()
-            .iter()
-            .position(|&p| p.approx_eq(world))
+    /// The engine index of home `home` in robot `robot`'s geometry — how
+    /// a protocol-level address (an inbox sender, an algorithm peer)
+    /// becomes a robot. `None` before preprocessing, or if no robot
+    /// started there.
+    #[must_use]
+    pub fn robot_at(&self, robot: usize, home: usize) -> Option<usize> {
+        let g = self.engine.protocol(robot).swarm_geometry()?;
+        home_to_engine(&self.engine, robot, g, home)
+    }
+
+    /// The inverse of [`Network::robot_at`]: robot `other` as a home
+    /// index of robot `robot`'s geometry. `None` before preprocessing.
+    #[must_use]
+    pub fn home_of(&self, robot: usize, other: usize) -> Option<usize> {
+        let g = self.engine.protocol(robot).swarm_geometry()?;
+        let local = self.engine.frames()[robot].to_local(self.engine.trace().initial()[other]);
+        (0..g.cohort()).find(|&h| g.home(h).approx_eq(local))
     }
 
     /// The label of `to` in `from`'s naming, computed from world positions
     /// (valid because every naming scheme is similarity-invariant).
-    fn label_from_world(&self, from: usize, to: usize) -> Result<usize, CoreError> {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Naming`] if the configuration admits no naming;
+    /// [`CoreError::UnknownDestination`] if `to` has no label.
+    pub fn label(&self, from: usize, to: usize) -> Result<usize, CoreError> {
         let homes = self.engine.trace().initial();
         let labeling = match self.scheme {
             NamingScheme::ByLex => label_by_lex(homes)?,
@@ -436,16 +524,53 @@ impl<P: SwarmProtocol> Network<P> {
             cohort: homes.len(),
         })
     }
+
+    /// Matches newly arrived inbox entries against the owed messages.
+    fn note_deliveries(&mut self) {
+        let engine = &self.engine;
+        for (to, protocol) in engine.protocols().iter().enumerate() {
+            let inbox = protocol.inbox_entries();
+            let Some(start) = self.expected.unscanned(to, inbox.len()) else {
+                continue;
+            };
+            let geometry = protocol.swarm_geometry();
+            let entries = inbox[start..].iter().map(|e| {
+                let from = geometry.and_then(|g| home_to_engine(engine, to, g, e.sender));
+                (from, e.payload.as_slice())
+            });
+            self.expected.receive(to, entries);
+        }
+    }
+}
+
+/// Translates one robot's home index into an engine index by matching
+/// world home positions.
+fn home_to_engine<P: MovementProtocol>(
+    engine: &Engine<P>,
+    robot: usize,
+    g: &SwarmGeometry,
+    home: usize,
+) -> Option<usize> {
+    let world = engine.frames()[robot].to_world(g.home(home));
+    engine
+        .trace()
+        .initial()
+        .iter()
+        .position(|&p| p.approx_eq(world))
+}
+
+/// A two-robot chat session over a [`PairProtocol`].
+///
+/// Tracks what was sent exactly like [`Network`] does, with the sender
+/// of every inbox entry implied: the peer.
+#[derive(Debug)]
+pub struct Pair<P> {
+    engine: Engine<P>,
+    expected: Expectations,
 }
 
 /// A ready-made two-robot asynchronous chat session (protocol P5).
-///
-/// [`Async2`] has a simpler API than the swarm protocols (there is only
-/// one possible peer), so it gets its own small façade.
-#[derive(Debug)]
-pub struct AsyncPair {
-    engine: Engine<Async2>,
-}
+pub type AsyncPair = Pair<Async2>;
 
 impl AsyncPair {
     /// Creates a two-robot asynchronous session under a seeded fair
@@ -476,7 +601,20 @@ impl AsyncPair {
             .schedule(WakeAllFirst::new(schedule))
             .frame_seed(seed)
             .build()?;
-        Ok(Self { engine })
+        Ok(Self::from_engine(engine))
+    }
+}
+
+impl<P: PairProtocol> Pair<P> {
+    /// Wraps a two-robot engine the caller configured — schedule, fault
+    /// plan, trace observers.
+    #[must_use]
+    pub fn from_engine(engine: Engine<P>) -> Self {
+        debug_assert_eq!(engine.cohort(), 2, "a pair has two robots");
+        Self {
+            engine,
+            expected: Expectations::new(2),
+        }
     }
 
     /// Queues a message from robot `from` (0 or 1) to the other robot.
@@ -492,36 +630,41 @@ impl AsyncPair {
             });
         }
         self.engine.protocol_mut(from).send(payload);
+        self.expected.expect(from, 1 - from, payload);
         Ok(())
     }
 
-    /// Runs until both robots have drained their queues and received all
-    /// pending traffic, or `max_steps` elapse.
+    /// Runs until every queued message is in its receiver's inbox, or
+    /// `max_steps` elapse. Returns the number of instants executed: the
+    /// first instant at which the last message arrived.
     ///
     /// # Errors
     ///
     /// [`CoreError::Timeout`] / [`CoreError::Model`].
     pub fn run_until_delivered(&mut self, max_steps: u64) -> Result<u64, CoreError> {
-        let expect: [usize; 2] = [
-            self.engine.protocol(1).inbox().len()
-                + usize::from(!self.engine.protocol(0).is_drained()),
-            self.engine.protocol(0).inbox().len()
-                + usize::from(!self.engine.protocol(1).is_drained()),
-        ];
-        let out = self
-            .engine
-            .run_until(max_steps, |e| {
-                e.protocol(0).is_drained()
-                    && e.protocol(1).is_drained()
-                    && e.protocol(1).inbox().len() >= expect[0]
-                    && e.protocol(0).inbox().len() >= expect[1]
-            })
-            .map_err(CoreError::from)?;
-        if out.satisfied {
-            Ok(out.steps_taken)
+        for step in 0..max_steps {
+            self.engine.run(1)?;
+            self.note_deliveries();
+            if self.expected.all_met() {
+                return Ok(step + 1);
+            }
+        }
+        if self.expected.all_met() {
+            Ok(max_steps)
         } else {
             Err(CoreError::Timeout { steps: max_steps })
         }
+    }
+
+    /// Runs exactly `steps` instants.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Model`] on a model violation.
+    pub fn run(&mut self, steps: u64) -> Result<(), CoreError> {
+        self.engine.run(steps)?;
+        self.note_deliveries();
+        Ok(())
     }
 
     /// Messages received by robot `robot`.
@@ -532,22 +675,42 @@ impl AsyncPair {
 
     /// The underlying engine.
     #[must_use]
-    pub fn engine(&self) -> &Engine<Async2> {
+    pub fn engine(&self) -> &Engine<P> {
         &self.engine
     }
 
-    /// Summarizes the session so far. `delivered` here means both
-    /// endpoints have drained their outboxes (nothing still in flight).
+    /// Mutable access to the underlying engine. Instants stepped through
+    /// it directly are accounted for delivery at the pair's next run.
+    pub fn engine_mut(&mut self) -> &mut Engine<P> {
+        &mut self.engine
+    }
+
+    /// Summarizes the session so far; `delivered` means every queued
+    /// message is in its receiver's inbox.
     #[must_use]
     pub fn report(&self) -> SessionReport {
-        let stats = self.engine.stats();
+        let (a, b) = (
+            self.engine.protocol(0).fec_stats(),
+            self.engine.protocol(1).fec_stats(),
+        );
         SessionReport {
-            cohort: 2,
-            delivered: self.engine.protocol(0).is_drained() && self.engine.protocol(1).is_drained(),
-            steps: stats.steps,
-            activations: stats.activations,
-            moves: stats.moves,
-            faults_injected: stats.faults_injected,
+            delivered: self.expected.all_met(),
+            corrupt: self.expected.unmatched,
+            fec_corrected: a.0 + b.0,
+            fec_rejected: a.1 + b.1,
+            ..SessionReport::of_engine(&self.engine)
+        }
+    }
+
+    /// Matches newly arrived inbox entries against the owed messages.
+    fn note_deliveries(&mut self) {
+        for (to, protocol) in self.engine.protocols().iter().enumerate() {
+            let inbox = protocol.inbox();
+            let Some(start) = self.expected.unscanned(to, inbox.len()) else {
+                continue;
+            };
+            let entries = inbox[start..].iter().map(|m| (Some(1 - to), m.as_slice()));
+            self.expected.receive(to, entries);
         }
     }
 }
@@ -837,19 +1000,18 @@ impl HardenedSession {
         self.stats
     }
 
-    /// Summarizes the session: the movement engine's counters, with
+    /// Summarizes the session: the movement network's report, with
     /// `delivered` meaning every [`HardenedSession::send`] so far got its
-    /// payload through (over movement or the secondary channel).
+    /// payload through (over movement or the secondary channel), and the
+    /// retransmission and FEC counters of the hardening layer.
     #[must_use]
     pub fn report(&self) -> SessionReport {
-        let stats = self.net.engine().stats();
         SessionReport {
-            cohort: self.net.cohort(),
             delivered: self.stats.movement_ok + self.stats.secondary_ok == self.sends,
-            steps: stats.steps,
-            activations: stats.activations,
-            moves: stats.moves,
-            faults_injected: stats.faults_injected,
+            retransmissions: self.stats.retransmissions,
+            fec_corrected: self.stats.fec_corrected,
+            fec_rejected: self.stats.fec_rejected,
+            ..self.net.report()
         }
     }
 
@@ -857,6 +1019,13 @@ impl HardenedSession {
     #[must_use]
     pub fn network(&self) -> &SyncNetwork {
         &self.net
+    }
+
+    /// Mutable access to the movement network — for installing trace
+    /// observers on its engine before the first send. Messages sent
+    /// through it directly bypass the hardening layer.
+    pub fn network_mut(&mut self) -> &mut SyncNetwork {
+        &mut self.net
     }
 
     /// The configured (pre-adaptation) retransmission policy.
@@ -894,6 +1063,7 @@ mod tests {
             SessionReport {
                 cohort: 3,
                 delivered: true, // nothing queued yet
+                min_distance: net.engine().min_pairwise_distance(),
                 ..SessionReport::default()
             }
         );

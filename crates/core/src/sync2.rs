@@ -110,6 +110,15 @@ impl Sync2 {
     }
 }
 
+impl crate::session::PairProtocol for Sync2 {
+    fn send(&mut self, payload: &[u8]) {
+        Sync2::send(self, payload);
+    }
+    fn inbox(&self) -> &[Vec<u8>] {
+        Sync2::inbox(self)
+    }
+}
+
 impl MovementProtocol for Sync2 {
     fn on_activate(&mut self, view: &View) -> Point {
         let c = self.counter;

@@ -199,6 +199,24 @@ impl SyncSwarm {
     }
 }
 
+impl crate::session::SwarmProtocol for SyncSwarm {
+    fn queue_label(&mut self, label: usize, payload: &[u8]) {
+        self.send_label(label, payload);
+    }
+    fn queue_broadcast(&mut self, payload: &[u8]) {
+        self.send_broadcast(payload);
+    }
+    fn inbox_entries(&self) -> &[InboxEntry] {
+        self.inbox()
+    }
+    fn swarm_geometry(&self) -> Option<&SwarmGeometry> {
+        self.geometry()
+    }
+    fn failure(&self) -> Option<&crate::CoreError> {
+        self.init_error()
+    }
+}
+
 impl MovementProtocol for SyncSwarm {
     fn on_activate(&mut self, view: &View) -> Point {
         let c = self.counter;

@@ -15,7 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use stigmergy::async2::{Async2, DriftPolicy};
+use stigmergy::session::{AsyncPair, SyncNetwork};
 use stigmergy::sync2::Sync2;
+use stigmergy::CoreError;
 use stigmergy_geometry::Point;
 use stigmergy_robots::{Engine, MovementProtocol};
 use stigmergy_scheduler::Synchronous;
@@ -121,5 +123,64 @@ fn allocation_budgets_hold_on_the_hot_paths() {
         allocs * 2 <= stats.activations,
         "Async2 allocated {allocs} times over {} activations (budget: 1 per 2 activations)",
         stats.activations
+    );
+
+    // 4. The session layer adds nothing per instant. Twin sessions carry
+    //    one queued message each; one runs `run_until_delivered`, the
+    //    other steps its bare engine over the same instants. Delivery
+    //    tracking scans only newly arrived inbox entries, so the protocol
+    //    work is the only allocation either twin does — the session's
+    //    own share must be zero.
+    let triangle = || {
+        vec![
+            Point::new(0.0, 0.0),
+            Point::new(12.0, 0.0),
+            Point::new(5.0, 9.0),
+        ]
+    };
+    let mut twins = [0, 1].map(|_| {
+        let mut net = SyncNetwork::anonymous_with_direction(triangle(), 0xA110C).expect("valid");
+        net.send(0, 2, &[0x5A; 32]).expect("valid route");
+        net.run(16).expect("collision-free"); // warm-up
+        net
+    });
+    let [session, bare] = &mut twins;
+    let (allocs, outcome) = allocations_during(|| session.run_until_delivered(200));
+    assert!(
+        matches!(outcome, Err(CoreError::Timeout { .. })),
+        "still in flight"
+    );
+    let (engine_allocs, ()) =
+        allocations_during(|| bare.engine_mut().run(200).expect("collision-free"));
+    assert_eq!(
+        allocs, engine_allocs,
+        "SyncNetwork::run_until_delivered allocated {allocs} times over 200 instants, \
+         its bare engine {engine_allocs}: the session layer must add none"
+    );
+
+    let mut twins = [0, 1].map(|_| {
+        let mut pair = AsyncPair::new(
+            Point::new(0.0, 0.0),
+            Point::new(14.0, 0.0),
+            DriftPolicy::Diverge,
+            0xA110C,
+        )
+        .expect("valid");
+        pair.send(0, &[0x5A; 32]).expect("valid sender");
+        pair.run(16).expect("collision-free"); // warm-up
+        pair
+    });
+    let [session, bare] = &mut twins;
+    let (allocs, outcome) = allocations_during(|| session.run_until_delivered(2_000));
+    assert!(
+        matches!(outcome, Err(CoreError::Timeout { .. })),
+        "still in flight"
+    );
+    let (engine_allocs, ()) =
+        allocations_during(|| bare.engine_mut().run(2_000).expect("collision-free"));
+    assert_eq!(
+        allocs, engine_allocs,
+        "AsyncPair::run_until_delivered allocated {allocs} times over 2000 instants, \
+         its bare engine {engine_allocs}: the session layer must add none"
     );
 }

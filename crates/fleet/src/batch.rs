@@ -13,7 +13,7 @@
 
 use crate::metrics::{FleetMetrics, MetricsSnapshot, SessionOutcome};
 use crate::pool::{run_indexed_observed, CancelToken};
-use crate::trace_codec::{encode, fnv1a64, TraceEncoder};
+use crate::trace_codec::{fnv1a64, TraceEncoder};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -24,19 +24,23 @@ use stigmergy::async2::{Async2, DriftPolicy};
 use stigmergy::async_n::AsyncSwarm;
 use stigmergy::backup::Wireless;
 use stigmergy::paced::{Paced2, PacedConfig, PacedSwarm};
-use stigmergy::session::HardenedSession;
+use stigmergy::session::{
+    HardenedSession, Network, Pair, PairProtocol, SessionReport, SwarmProtocol,
+};
 use stigmergy::sync2::Sync2;
 use stigmergy::sync_swarm::SyncSwarm;
-use stigmergy::{election_signature, label_by_id, label_by_lex, label_by_sec};
+use stigmergy::{election_signature, CoreError, NamingScheme};
 use stigmergy_algo::{
     agreement, election, flood, AgreementSession, ElectionSession, FloodSession, NodeStack,
     Outgoing, Status,
 };
 use stigmergy_geometry::{Point, Vec2};
 use stigmergy_robots::engine::DEFAULT_COLLISION_EPS;
-use stigmergy_robots::{Capabilities, Engine, MovementProtocol};
+use stigmergy_robots::{Capabilities, Engine, ModelError, MovementProtocol};
 use stigmergy_scheduler::rng::SplitMix64;
-use stigmergy_scheduler::{AlgorithmSpec, CodingSpec, FaultSpec, ScheduleSpec, WakeAllFirst};
+use stigmergy_scheduler::{
+    AlgorithmSpec, CodingSpec, FaultPlan, FaultSpec, ScheduleSpec, WakeAllFirst,
+};
 
 /// Payload every batch session sends, unless overridden.
 pub const DEFAULT_PAYLOAD: &[u8] = b"adv";
@@ -131,6 +135,23 @@ impl ProtocolKind {
             6 => ProtocolKind::Hardened,
             _ => return None,
         })
+    }
+
+    /// The capabilities a swarm protocol assumes and the naming scheme
+    /// its robots address each other by (the §4 swarm, and the algorithm
+    /// transport riding it, are fully anonymous).
+    fn naming(self) -> (Capabilities, NamingScheme) {
+        match self {
+            ProtocolKind::SyncSwarmRouted => (
+                Capabilities::identified_with_direction(),
+                NamingScheme::ById,
+            ),
+            ProtocolKind::SyncSwarmLex => (
+                Capabilities::anonymous_with_direction(),
+                NamingScheme::ByLex,
+            ),
+            _ => (Capabilities::anonymous(), NamingScheme::BySec),
+        }
     }
 
     fn tag(self) -> u64 {
@@ -715,53 +736,22 @@ pub fn run_session(spec: &SessionSpec) -> RunReport {
     }
     let paced = paced_config(spec.coding);
     match (spec.protocol, paced) {
-        (ProtocolKind::Sync2, Some(cfg)) => run_pair(spec, move || Paced2::new(cfg), Paced2::inbox),
-        (ProtocolKind::Sync2, None) => run_pair(spec, Sync2::new, Sync2::inbox),
-        (ProtocolKind::Async2, _) => {
-            run_pair(spec, || Async2::new(DriftPolicy::Diverge), Async2::inbox)
+        (ProtocolKind::Sync2, Some(cfg)) => run_pair(spec, move || Paced2::new(cfg)),
+        (ProtocolKind::Sync2, None) => run_pair(spec, Sync2::new),
+        (ProtocolKind::Async2, _) => run_pair(spec, || Async2::new(DriftPolicy::Diverge)),
+        (ProtocolKind::SyncSwarmRouted, Some(cfg)) => {
+            run_swarm(spec, move || PacedSwarm::routed(cfg))
         }
-        (ProtocolKind::SyncSwarmRouted, Some(cfg)) => run_swarm(
-            spec,
-            move || PacedSwarm::routed(cfg),
-            Capabilities::identified_with_direction(),
-            |e, to| label_by_id(e.ids().unwrap()).unwrap().label_of(to),
-        ),
-        (ProtocolKind::SyncSwarmRouted, None) => run_swarm(
-            spec,
-            SyncSwarm::routed,
-            Capabilities::identified_with_direction(),
-            |e, to| label_by_id(e.ids().unwrap()).unwrap().label_of(to),
-        ),
-        (ProtocolKind::SyncSwarmLex, Some(cfg)) => run_swarm(
-            spec,
-            move || PacedSwarm::anonymous_with_direction(cfg),
-            Capabilities::anonymous_with_direction(),
-            |e, to| label_by_lex(e.trace().initial()).unwrap().label_of(to),
-        ),
-        (ProtocolKind::SyncSwarmLex, None) => run_swarm(
-            spec,
-            SyncSwarm::anonymous_with_direction,
-            Capabilities::anonymous_with_direction(),
-            |e, to| label_by_lex(e.trace().initial()).unwrap().label_of(to),
-        ),
-        (ProtocolKind::SyncSwarmSec, Some(cfg)) => run_swarm(
-            spec,
-            move || PacedSwarm::anonymous(cfg),
-            Capabilities::anonymous(),
-            |e, to| label_by_sec(e.trace().initial(), 0).unwrap().label_of(to),
-        ),
-        (ProtocolKind::SyncSwarmSec, None) => run_swarm(
-            spec,
-            SyncSwarm::anonymous,
-            Capabilities::anonymous(),
-            |e, to| label_by_sec(e.trace().initial(), 0).unwrap().label_of(to),
-        ),
-        (ProtocolKind::AsyncSwarm, _) => run_swarm(
-            spec,
-            AsyncSwarm::anonymous,
-            Capabilities::anonymous(),
-            |e, to| label_by_sec(e.trace().initial(), 0).unwrap().label_of(to),
-        ),
+        (ProtocolKind::SyncSwarmRouted, None) => run_swarm(spec, SyncSwarm::routed),
+        (ProtocolKind::SyncSwarmLex, Some(cfg)) => {
+            run_swarm(spec, move || PacedSwarm::anonymous_with_direction(cfg))
+        }
+        (ProtocolKind::SyncSwarmLex, None) => run_swarm(spec, SyncSwarm::anonymous_with_direction),
+        (ProtocolKind::SyncSwarmSec, Some(cfg)) => {
+            run_swarm(spec, move || PacedSwarm::anonymous(cfg))
+        }
+        (ProtocolKind::SyncSwarmSec, None) => run_swarm(spec, SyncSwarm::anonymous),
+        (ProtocolKind::AsyncSwarm, _) => run_swarm(spec, AsyncSwarm::anonymous),
         (ProtocolKind::Hardened, _) => run_hardened(spec),
     }
 }
@@ -786,90 +776,55 @@ fn paced_config(coding: CodingSpec) -> Option<PacedConfig> {
     )
 }
 
-/// Shared engine-driving shape, mirroring the adversarial suite: one
-/// benign preprocessing instant, arm the fault plan, queue the message,
-/// run to delivery or budget exhaustion. `corrupt_of` counts inbox
-/// entries that differ from the sent payload — detect-or-reject demands
-/// it stays 0.
-///
-/// Sessions run on the streaming trace path: the engine records no step
-/// history (see [`run_pair`]/[`run_swarm`]); a [`TraceEncoder`] attached
-/// as trace observer produces the canonical bytes incrementally, and the
-/// collision margin comes from the engine's streaming minimum. Both are
-/// bit-identical to the legacy record-then-encode path — the golden-trace
-/// suite compares these bytes against goldens generated before the
-/// rewrite.
-fn drive<P, Q, D, C, FE>(
+/// Builds a session's engine from its spec: `make()` per robot, the
+/// spec's schedule (crash-aware wrappers armed with `plan`) behind
+/// `WakeAllFirst`, and the spec's frame seed. The engine records no step
+/// history — [`stream_trace`] encodes the trace as it happens.
+fn session_engine<P: MovementProtocol>(
     spec: &SessionSpec,
-    mut engine: Engine<P>,
-    queue: Q,
-    delivered: D,
-    corrupt_of: C,
-    fec_of: FE,
-) -> RunReport
-where
-    P: MovementProtocol + 'static,
-    Q: FnOnce(&mut Engine<P>),
-    D: Fn(&Engine<P>) -> bool,
-    C: Fn(&Engine<P>) -> u64,
-    FE: Fn(&Engine<P>) -> (u64, u64),
-{
+    positions: Vec<Point>,
+    make: impl Fn() -> P,
+    caps: Capabilities,
+    plan: &FaultPlan,
+) -> Result<Engine<P>, ModelError> {
+    let n = positions.len();
+    Engine::builder()
+        .positions(positions)
+        .protocols((0..n).map(|_| make()))
+        .capabilities(caps)
+        .schedule(WakeAllFirst::new(spec.schedule.build_faulted(n, plan)))
+        .frame_seed(spec.frame_seed())
+        .record_trace(false)
+        .build()
+}
+
+/// Attaches a [`TraceEncoder`] as `engine`'s trace observer: the canonical
+/// trace bytes are produced incrementally, bit-identical to encoding a
+/// fully recorded trace (the golden-trace suite pins this).
+fn stream_trace<P: MovementProtocol>(engine: &mut Engine<P>) -> Rc<RefCell<TraceEncoder>> {
     let encoder = Rc::new(RefCell::new(TraceEncoder::new(engine.positions())));
     let sink = Rc::clone(&encoder);
     engine.observe_trace(move |ev| sink.borrow_mut().record_event(&ev));
-    let mut error = None;
-    let mut satisfied = false;
-    let mut steps_to_delivery = None;
-    if let Err(e) = engine.step() {
-        error = Some(e.to_string());
-    } else {
-        engine.set_fault_plan(spec.plan.plan(spec.plan_seed()));
-        queue(&mut engine);
-        match engine.run_until(spec.budget(), |e| delivered(e)) {
-            Ok(out) => {
-                satisfied = out.satisfied;
-                if out.satisfied {
-                    steps_to_delivery = Some(out.steps_taken);
-                }
-            }
-            Err(e) => error = Some(e.to_string()),
-        }
-    }
-    let corrupt = corrupt_of(&engine);
-    let fec = fec_of(&engine);
-    let encoder = encoder.borrow();
-    finish(
-        spec,
-        &engine,
-        &encoder,
-        satisfied,
-        steps_to_delivery,
-        0,
-        corrupt,
-        fec,
-        error,
-    )
+    encoder
 }
 
-/// Builds the report from a finished engine: counters, the streamed trace
-/// encoding, and the collision invariant check.
-#[allow(clippy::too_many_arguments)]
-fn finish<P: MovementProtocol>(
+/// Builds a [`RunReport`] from a finished session's [`SessionReport`],
+/// its streamed trace, and how it ended: `steps_to_delivery` is `Some`
+/// exactly when the session delivered. A collision-margin breach the
+/// engine did not already report becomes the session's error.
+fn run_report(
     spec: &SessionSpec,
-    engine: &Engine<P>,
-    encoder: &TraceEncoder,
-    delivered: bool,
+    report: SessionReport,
     steps_to_delivery: Option<u64>,
-    retransmissions: u64,
-    corrupt: u64,
-    fec: (u64, u64),
     mut error: Option<String>,
+    encoder: &RefCell<TraceEncoder>,
 ) -> RunReport {
-    let stats = engine.stats();
-    let min_distance = engine.min_pairwise_distance();
-    if error.is_none() && min_distance < DEFAULT_COLLISION_EPS {
+    let encoder = encoder.borrow();
+    let delivered = steps_to_delivery.is_some();
+    if error.is_none() && report.min_distance < DEFAULT_COLLISION_EPS {
         error = Some(format!(
-            "collision invariant violated: min distance {min_distance}"
+            "collision invariant violated: min distance {}",
+            report.min_distance
         ));
     }
     RunReport {
@@ -879,22 +834,41 @@ fn finish<P: MovementProtocol>(
         plan: spec.plan.name(),
         seed: spec.seed,
         delivered,
-        steps: stats.steps,
+        steps: report.steps,
         steps_to_delivery,
-        activations: stats.activations,
-        moves: stats.moves,
-        faults: stats.faults_injected,
-        retransmissions,
-        corrupt,
+        activations: report.activations,
+        moves: report.moves,
+        faults: report.faults_injected,
+        retransmissions: report.retransmissions,
+        corrupt: report.corrupt,
         delivered_bits: delivered_payload_bits(spec, delivered),
-        fec_corrected: fec.0,
-        fec_rejected: fec.1,
-        min_distance,
+        fec_corrected: report.fec_corrected,
+        fec_rejected: report.fec_rejected,
+        min_distance: report.min_distance,
         trace_len: encoder.encoded_len(),
         trace_hash: encoder.fingerprint(),
         trace: spec.keep_trace.then(|| encoder.to_bytes()),
         algo: None,
         error,
+    }
+}
+
+/// Splits a session's result into `(steps_to_delivery, error)`: running
+/// out of budget is an undelivered session, not an error.
+fn ended(outcome: Result<u64, CoreError>) -> (Option<u64>, Option<String>) {
+    match outcome {
+        Ok(steps) => (Some(steps), None),
+        Err(CoreError::Timeout { .. }) => (None, None),
+        Err(e) => (None, Some(error_text(e))),
+    }
+}
+
+/// A session error as reports print it; model violations read as the
+/// engine states them.
+fn error_text(e: CoreError) -> String {
+    match e {
+        CoreError::Model(e) => e.to_string(),
+        e => e.to_string(),
     }
 }
 
@@ -908,188 +882,106 @@ fn delivered_payload_bits(spec: &SessionSpec, delivered: bool) -> u64 {
     }
 }
 
-fn run_pair<P, F, I>(spec: &SessionSpec, make: F, inbox: I) -> RunReport
-where
-    P: MovementProtocol + PairProto + 'static,
-    F: Fn() -> P,
-    I: Fn(&P) -> &[Vec<u8>],
-{
-    let engine = Engine::builder()
-        .positions(pair_positions())
-        .protocols([make(), make()])
-        // `build_faulted` arms crash-aware wrappers (`CrashFiltered`)
-        // with this session's plan; plain schedules ignore the plan and
-        // build exactly as before.
-        .schedule(WakeAllFirst::new(
-            spec.schedule
-                .build_faulted(2, &spec.plan.plan(spec.plan_seed())),
-        ))
-        .frame_seed(spec.frame_seed())
-        // The observer installed by `drive` streams the trace; keeping
-        // step records in memory too would double the cost for nothing.
-        .record_trace(false)
-        .build()
-        .expect("pair configuration is always valid");
-    let payload = spec.payload.clone();
-    drive(
-        spec,
-        engine,
-        |e| e.protocol_mut(0).send_payload(&payload),
-        |e| inbox(e.protocol(1)).iter().any(|m| m == &spec.payload),
-        |e| {
-            inbox(e.protocol(1))
-                .iter()
-                .filter(|m| *m != &spec.payload)
-                .count() as u64
-        },
-        |e| {
-            let (a, b) = (e.protocol(0).fec_stats(), e.protocol(1).fec_stats());
-            (a.0 + b.0, a.1 + b.1)
-        },
-    )
-}
-
-fn run_swarm<P, F, L>(spec: &SessionSpec, make: F, caps: Capabilities, label_of: L) -> RunReport
-where
-    P: MovementProtocol + SwarmProto + 'static,
-    F: Fn() -> P,
-    L: Fn(&Engine<P>, usize) -> Option<usize>,
-{
-    let n = spec.cohort;
-    let receiver = n - 1;
-    let engine = Engine::builder()
-        .positions(ring(n, 18.0))
-        .protocols((0..n).map(|_| make()))
-        .capabilities(caps)
-        .schedule(WakeAllFirst::new(
-            spec.schedule
-                .build_faulted(n, &spec.plan.plan(spec.plan_seed())),
-        ))
-        .frame_seed(spec.frame_seed())
-        // Streamed by the observer in `drive`; the trace keeps only the
-        // initial configuration (the `label_by_*` closures read it).
-        .record_trace(false)
-        .build()
-        .expect("ring configuration is always valid");
-    let payload = spec.payload.clone();
-    drive(
-        spec,
-        engine,
-        |e| {
-            // Receiver = engine index n−1, addressed by whatever naming
-            // the capability set affords.
-            let label = label_of(e, receiver).expect("receiver must be nameable");
-            e.protocol_mut(0).send_to(label, &payload);
-        },
-        |e| {
-            e.protocol(receiver)
-                .payloads()
-                .iter()
-                .any(|p| p == &spec.payload)
-        },
-        |e| {
-            e.protocol(receiver)
-                .payloads()
-                .iter()
-                .filter(|p| *p != &spec.payload)
-                .count() as u64
-        },
-        |e| {
-            (0..n).fold((0, 0), |(c, r), i| {
-                let (ci, ri) = e.protocol(i).fec_stats();
-                (c + ci, r + ri)
-            })
-        },
-    )
-}
-
-fn run_hardened(spec: &SessionSpec) -> RunReport {
+/// A two-robot session, shaped like the adversarial suite: one benign
+/// preprocessing instant, arm the fault plan, queue the message, run to
+/// delivery or budget exhaustion.
+fn run_pair<P: PairProtocol + 'static>(spec: &SessionSpec, make: impl Fn() -> P) -> RunReport {
     let plan = spec.plan.plan(spec.plan_seed());
+    let engine = session_engine(
+        spec,
+        pair_positions(),
+        make,
+        Capabilities::anonymous(),
+        &plan,
+    )
+    .expect("pair configuration is always valid");
+    let mut pair = Pair::from_engine(engine);
+    let encoder = stream_trace(pair.engine_mut());
+    let outcome = pair.run(1).and_then(|()| {
+        pair.engine_mut().set_fault_plan(plan);
+        pair.send(0, &spec.payload)?;
+        pair.run_until_delivered(spec.budget())
+    });
+    let (steps, error) = ended(outcome);
+    run_report(spec, pair.report(), steps, error, &encoder)
+}
+
+/// A swarm session on the irregular ring: the same shape as
+/// [`run_pair`], with robot 0 messaging robot `n − 1`.
+fn run_swarm<P: SwarmProtocol + 'static>(spec: &SessionSpec, make: impl Fn() -> P) -> RunReport {
+    let receiver = spec.cohort - 1;
+    let plan = spec.plan.plan(spec.plan_seed());
+    let (caps, scheme) = spec.protocol.naming();
+    let engine = session_engine(spec, ring(spec.cohort, 18.0), make, caps, &plan)
+        .expect("ring configuration is always valid");
+    let mut net = Network::from_engine(engine, scheme);
+    let encoder = stream_trace(net.engine_mut());
+    let outcome = net.run(1).and_then(|()| {
+        net.engine_mut().set_fault_plan(plan);
+        net.send(0, receiver, &spec.payload)
+            .expect("receiver must be nameable");
+        net.run_until_delivered(spec.budget())
+    });
+    let (steps, error) = ended(outcome);
+    run_report(spec, net.report(), steps, error, &encoder)
+}
+
+/// A hardened session on the irregular ring: movement first, with
+/// retransmission and the wireless secondary behind it.
+fn run_hardened(spec: &SessionSpec) -> RunReport {
     let policy = RetransmitPolicy::new(3, spec.budget().max(1), 2);
     let mut session = HardenedSession::with_faults(
         ring(spec.cohort, 18.0),
         spec.frame_seed(),
         policy,
         Wireless::reliable(spec.frame_seed()),
-        plan,
+        spec.plan.plan(spec.plan_seed()),
     )
     .expect("ring configuration is always valid");
-    let receiver = spec.cohort - 1;
-    let (delivered, error) = match session.send(0, receiver, &spec.payload) {
-        Ok(_) => (true, None),
-        Err(stigmergy::CoreError::Timeout { .. }) => (false, None),
-        Err(e) => (false, Some(e.to_string())),
-    };
-    let stats = session.stats();
-    let report = session.report();
-    let trace = session.network().engine().trace();
-    let min_distance = trace.min_pairwise_distance();
-    let bytes = encode(trace);
-    let corrupt = session
-        .inbox(receiver)
-        .iter()
-        .filter(|(_, p)| p != &spec.payload)
-        .count() as u64;
-    RunReport {
-        protocol: spec.protocol.name(),
-        algorithm: None,
-        schedule: spec.schedule.name(),
-        plan: spec.plan.name(),
-        seed: spec.seed,
-        delivered,
-        steps_to_delivery: delivered.then_some(stats.movement_steps),
-        steps: report.steps,
-        activations: report.activations,
-        moves: report.moves,
-        faults: report.faults_injected,
-        retransmissions: stats.retransmissions,
-        corrupt,
-        delivered_bits: delivered_payload_bits(spec, delivered),
-        fec_corrected: stats.fec_corrected,
-        fec_rejected: stats.fec_rejected,
-        min_distance,
-        trace_len: bytes.len(),
-        trace_hash: fnv1a64(&bytes),
-        trace: spec.keep_trace.then_some(bytes),
-        algo: None,
-        error,
-    }
+    let encoder = stream_trace(session.network_mut().engine_mut());
+    let outcome = session
+        .send(0, spec.cohort - 1, &spec.payload)
+        .map(|_| session.stats().movement_steps);
+    let (steps, error) = ended(outcome);
+    run_report(spec, session.report(), steps, error, &encoder)
 }
 
 /// Queues a stack's outgoing frames on robot `i`'s protocol and returns
 /// their channel cost in bits: `bits(L) = 16 + 8L` per frame (16-bit
 /// header plus 8 bits per payload byte, one excursion per bit).
 fn enqueue_frames(
-    engine: &mut Engine<AsyncSwarm>,
+    net: &mut Network<AsyncSwarm>,
     i: usize,
-    labels: &[usize],
     out: Vec<Outgoing>,
-) -> u64 {
+) -> Result<u64, String> {
     let mut bits = 0;
     for msg in out {
         bits += 16 + 8 * msg.body().len() as u64;
         match msg {
-            Outgoing::Broadcast { body } => engine.protocol_mut(i).send_broadcast(&body),
+            Outgoing::Broadcast { body } => net.engine_mut().protocol_mut(i).send_broadcast(&body),
             Outgoing::Unicast { peer, body } => {
-                engine.protocol_mut(i).send_label(labels[peer], &body);
+                let to = net
+                    .robot_at(i, peer)
+                    .ok_or_else(|| format!("robot {i}: home {peer} is no robot"))?;
+                let label = net.label(i, to).map_err(error_text)?;
+                net.engine_mut().protocol_mut(i).send_label(label, &body);
             }
         }
     }
-    bits
+    Ok(bits)
 }
 
 /// Drives one distributed-algorithm session over the async-swarm
 /// movement channel.
 ///
 /// The driver is the glue `DESIGN.md` §13 specifies: it builds each
-/// robot's [`NodeStack`], translates engine indices into each robot's
-/// local home indices, pumps delivered inbox frames into the stacks, and
-/// acts as the perfect failure detector — when the fault plan's
-/// crash-stop instant has passed, every surviving robot gets `suspect`
-/// (unwedging the §4.2 implicit-ack rule) and `on_crash` (unwedging the
-/// algorithm), in fixed robot order. The run ends when every live
-/// robot's stack is terminal, or the budget expires.
-#[allow(clippy::too_many_lines)]
+/// robot's [`NodeStack`], pumps delivered inbox frames into the stacks
+/// (peers are the robots' own home indices; [`Network`] translates them
+/// to addresses), and acts as the perfect failure detector — when the
+/// fault plan's crash-stop instant has passed, every surviving robot gets
+/// `suspect` (unwedging the §4.2 implicit-ack rule) and `on_crash`
+/// (unwedging the algorithm), in fixed robot order. The run ends when
+/// every live robot's stack is terminal, or the budget expires.
 fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
     let n = spec.cohort;
     assert!(
@@ -1103,20 +995,11 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
         );
     }
     let plan = spec.plan.plan(spec.plan_seed());
-    let mut engine = Engine::builder()
-        .positions(ring(n, 18.0))
-        .protocols((0..n).map(|_| AsyncSwarm::anonymous()))
-        .capabilities(Capabilities::anonymous())
-        .schedule(WakeAllFirst::new(spec.schedule.build_faulted(n, &plan)))
-        .frame_seed(spec.frame_seed())
-        .record_trace(false)
-        .build()
+    let (caps, scheme) = spec.protocol.naming();
+    let engine = session_engine(spec, ring(n, 18.0), AsyncSwarm::anonymous, caps, &plan)
         .expect("ring configuration is always valid");
-    let encoder = Rc::new(RefCell::new(TraceEncoder::new(engine.positions())));
-    let sink = Rc::clone(&encoder);
-    engine.observe_trace(move |ev| sink.borrow_mut().record_event(&ev));
-
-    let mut error: Option<String> = None;
+    let mut net = Network::from_engine(engine, scheme);
+    let encoder = stream_trace(net.engine_mut());
     let mut algo = AlgoOutcome {
         rounds: 0,
         bits: 0,
@@ -1124,293 +1007,177 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
         decision: None,
         rejected: false,
     };
-    let mut delivered = false;
-    let mut steps_to_delivery = None;
-    let mut corrupt = 0u64;
-
-    'run: {
-        // One benign preprocessing instant (geometries build), then arm
-        // the fault plan — the same shape as `drive`.
-        if let Err(e) = engine.step() {
-            error = Some(e.to_string());
-            break 'run;
-        }
-        engine.set_fault_plan(plan.clone());
-
-        // Identity maps: `home[i][j]` is engine robot `j` as a home index
-        // of robot `i`'s geometry; `labels[i][h]` addresses home `h` for
-        // unicast sends from `i`.
-        let initial: Vec<Point> = engine.trace().initial().to_vec();
-        let mut home = vec![vec![0usize; n]; n];
-        let mut labels = vec![vec![0usize; n]; n];
-        for i in 0..n {
-            let Some(g) = engine.protocol(i).geometry() else {
-                error = Some(format!("robot {i}: degenerate configuration, no geometry"));
-                break 'run;
-            };
-            for (j, &world) in initial.iter().enumerate() {
-                if i == j {
-                    continue; // home[i][i] = 0, self
-                }
-                let local = engine.frames()[i].to_local(world);
-                let Some(h) = (0..g.cohort()).find(|&h| g.home(h).approx_eq(local)) else {
-                    error = Some(format!("robot {i}: robot {j} not among its homes"));
-                    break 'run;
-                };
-                home[i][j] = h;
-            }
-            for (h, label) in labels[i].iter_mut().enumerate() {
-                *label = g.label_for(0, h);
-            }
-        }
-
-        // One stack per robot. All robots must agree on `max_rounds`; it
-        // derives from the plan's crash budget (`f + 1` FloodSet rounds).
-        let max_rounds = plan.crash_stops().len() as u64 + 1;
-        let proto_id = match algorithm {
-            AlgorithmSpec::Flood { .. } => flood::PROTOCOL_ID,
-            AlgorithmSpec::Election => election::PROTOCOL_ID,
-            AlgorithmSpec::Agreement { .. } => agreement::PROTOCOL_ID,
+    let mut corrupt = 0;
+    let (steps, error) =
+        match drive_algorithm(spec, algorithm, &plan, &mut net, &mut algo, &mut corrupt) {
+            Ok(steps) => (steps, None),
+            Err(e) => (None, Some(e)),
         };
-        let mut stacks: Vec<NodeStack> = Vec::with_capacity(n);
-        for (i, home_i) in home.iter().enumerate() {
-            let session: Box<dyn stigmergy_algo::Session> = match algorithm {
-                AlgorithmSpec::Flood { initiator } if i == initiator => {
-                    Box::new(FloodSession::initiator(spec.payload.clone(), n))
-                }
-                AlgorithmSpec::Flood { initiator } => {
-                    Box::new(FloodSession::follower(home_i[initiator]))
-                }
-                AlgorithmSpec::Election => {
-                    // The election signature is similarity-invariant, so
-                    // computing it from the world-frame snapshot equals
-                    // each robot's own local-frame computation. Truncation
-                    // to the 32-bit wire width preserves symmetry ties.
-                    match election_signature(&initial, i) {
-                        Ok(sig) => Box::new(ElectionSession::new(sig as u32, n)),
-                        Err(e) => {
-                            error = Some(format!("election signature: {e}"));
-                            break 'run;
-                        }
-                    }
-                }
-                AlgorithmSpec::Agreement { inputs } => {
-                    Box::new(AgreementSession::new((inputs >> i) & 1 == 1, n, max_rounds))
-                }
-            };
-            let mut stack = NodeStack::new();
-            stack.register(proto_id, session);
-            stacks.push(stack);
-        }
-        for i in 0..n {
-            let out = stacks[i].start();
-            algo.bits += enqueue_frames(&mut engine, i, &labels[i], out);
-        }
-
-        // The pump loop: step, strike newly-crashed robots, route fresh
-        // inbox frames, check termination.
-        let crash_list: Vec<(usize, u64)> = {
-            let mut list = plan.crash_stops().to_vec();
-            list.sort_unstable_by_key(|&(robot, time)| (time, robot));
-            list
-        };
-        let mut live = vec![true; n];
-        let mut notified = vec![false; n];
-        let mut cursor = vec![0usize; n];
-        let budget = spec.budget();
-        let mut taken = 0u64;
-        while taken < budget {
-            if let Err(e) = engine.step() {
-                error = Some(e.to_string());
-                break 'run;
-            }
-            taken += 1;
-            let now = engine.stats().steps;
-            for &(robot, when) in &crash_list {
-                // `steps` counts executed instants, so `now > when` means
-                // instant `when` — where the engine froze the robot — has
-                // already run: the detector never accuses a live robot.
-                if notified[robot] || now <= when {
-                    continue;
-                }
-                notified[robot] = true;
-                live[robot] = false;
-                for i in 0..n {
-                    if i == robot || !live[i] {
-                        continue;
-                    }
-                    let h = home[i][robot];
-                    engine.protocol_mut(i).suspect(h);
-                    let out = stacks[i].on_crash(h);
-                    algo.bits += enqueue_frames(&mut engine, i, &labels[i], out);
-                }
-            }
-            for i in 0..n {
-                if !live[i] {
-                    continue;
-                }
-                let fresh: Vec<(usize, Vec<u8>)> = engine.protocol(i).inbox()[cursor[i]..]
-                    .iter()
-                    .map(|m| (m.sender, m.payload.clone()))
-                    .collect();
-                cursor[i] += fresh.len();
-                for (sender, payload) in fresh {
-                    let out = stacks[i].on_frame(sender, &payload);
-                    algo.bits += enqueue_frames(&mut engine, i, &labels[i], out);
-                }
-            }
-            if (0..n)
-                .filter(|&i| live[i])
-                .all(|i| stacks[i].all_terminal())
-            {
-                steps_to_delivery = Some(taken);
-                algo.activations_to_decision = Some(engine.stats().activations);
-                break;
-            }
-        }
-
-        if algo.activations_to_decision.is_none() {
-            break 'run; // timed out: counters stand, no decision
-        }
-
-        // Decision extraction. Frames that failed demux count as corrupt
-        // (a garbled frame cannot carry a registered protocol id).
-        let mut statuses = Vec::with_capacity(n);
-        for (i, stack) in stacks.iter().enumerate() {
-            corrupt += stack.unroutable();
-            if !live[i] {
-                continue;
-            }
-            algo.rounds = algo.rounds.max(stack.rounds_of(proto_id).unwrap_or(1));
-            statuses.push(stack.status_of(proto_id).expect("session registered"));
-        }
-        algo.rejected = statuses.iter().any(|s| matches!(s, Status::Rejected(_)));
-        match algorithm {
-            AlgorithmSpec::Flood { initiator } => {
-                // The initiator's coverage count is the session decision
-                // (followers decide 1). A crashed initiator leaves the
-                // followers rejecting: terminal, but no decision.
-                if live[initiator] {
-                    algo.decision = stacks[initiator]
-                        .status_of(proto_id)
-                        .and_then(|s| s.decision());
-                }
-            }
-            AlgorithmSpec::Election | AlgorithmSpec::Agreement { .. } => {
-                // Every live robot must land on the same terminal status —
-                // the agreement property itself for FloodSet, and the
-                // common-knowledge property for election (identical
-                // electorates see the same unique-or-tied minimum).
-                let first = statuses.first().copied();
-                if statuses.iter().any(|s| Some(*s) != first) {
-                    error = Some(format!(
-                        "split decision: live robots disagree ({statuses:?})"
-                    ));
-                } else {
-                    algo.decision = first.and_then(|s| s.decision());
-                }
-            }
-        }
-        // "Delivered" for an algorithm session = terminated with a
-        // consistent decision (a rejection terminates but delivers no
-        // decision, mirroring undelivered payloads).
-        delivered = error.is_none() && algo.decision.is_some();
-        if !delivered {
-            steps_to_delivery = None;
-        }
-    }
-
-    let encoder = encoder.borrow();
-    let mut report = finish(
-        spec,
-        &engine,
-        &encoder,
-        delivered,
-        steps_to_delivery,
-        0,
+    // Frames that failed demux count as corrupt (a garbled frame cannot
+    // carry a registered protocol id).
+    let report = SessionReport {
         corrupt,
-        (0, 0),
-        error,
-    );
+        ..net.report()
+    };
+    let mut report = run_report(spec, report, steps, error, &encoder);
     report.algo = Some(algo);
     report
 }
 
-/// Uniform access to the pair protocols' send queue.
-trait PairProto {
-    fn send_payload(&mut self, payload: &[u8]);
-    /// `(corrected, rejected)` FEC counters; protocols without a coded
-    /// channel report zeros.
-    fn fec_stats(&self) -> (u64, u64) {
-        (0, 0)
+/// [`run_algo_session`]'s run proper. Returns the instants to a
+/// consistent decision, `None` when the budget ran out or the run ended
+/// without one, or the error that killed the session.
+fn drive_algorithm(
+    spec: &SessionSpec,
+    algorithm: AlgorithmSpec,
+    plan: &FaultPlan,
+    net: &mut Network<AsyncSwarm>,
+    algo: &mut AlgoOutcome,
+    corrupt: &mut u64,
+) -> Result<Option<u64>, String> {
+    let n = spec.cohort;
+    // One benign preprocessing instant (geometries build), then arm the
+    // fault plan — the same shape as every other session.
+    net.run(1).map_err(error_text)?;
+    net.engine_mut().set_fault_plan(plan.clone());
+    if let Some(i) = (0..n).find(|&i| net.engine().protocol(i).geometry().is_none()) {
+        return Err(format!("robot {i}: degenerate configuration, no geometry"));
     }
-}
+    let home_of = |net: &Network<AsyncSwarm>, i: usize, j: usize| {
+        net.home_of(i, j)
+            .ok_or_else(|| format!("robot {i}: robot {j} not among its homes"))
+    };
 
-impl PairProto for Sync2 {
-    fn send_payload(&mut self, payload: &[u8]) {
-        self.send(payload);
+    // One stack per robot. All robots must agree on `max_rounds`; it
+    // derives from the plan's crash budget (`f + 1` FloodSet rounds).
+    let max_rounds = plan.crash_stops().len() as u64 + 1;
+    let proto_id = match algorithm {
+        AlgorithmSpec::Flood { .. } => flood::PROTOCOL_ID,
+        AlgorithmSpec::Election => election::PROTOCOL_ID,
+        AlgorithmSpec::Agreement { .. } => agreement::PROTOCOL_ID,
+    };
+    let mut stacks: Vec<NodeStack> = Vec::with_capacity(n);
+    for i in 0..n {
+        let session: Box<dyn stigmergy_algo::Session> = match algorithm {
+            AlgorithmSpec::Flood { initiator } if i == initiator => {
+                Box::new(FloodSession::initiator(spec.payload.clone(), n))
+            }
+            AlgorithmSpec::Flood { initiator } => {
+                Box::new(FloodSession::follower(home_of(net, i, initiator)?))
+            }
+            AlgorithmSpec::Election => {
+                // The election signature is similarity-invariant, so
+                // computing it from the world-frame snapshot equals each
+                // robot's own local-frame computation. Truncation to the
+                // 32-bit wire width preserves symmetry ties.
+                let sig = election_signature(net.engine().trace().initial(), i)
+                    .map_err(|e| format!("election signature: {e}"))?;
+                Box::new(ElectionSession::new(sig as u32, n))
+            }
+            AlgorithmSpec::Agreement { inputs } => {
+                Box::new(AgreementSession::new((inputs >> i) & 1 == 1, n, max_rounds))
+            }
+        };
+        let mut stack = NodeStack::new();
+        stack.register(proto_id, session);
+        stacks.push(stack);
     }
-}
-
-impl PairProto for Async2 {
-    fn send_payload(&mut self, payload: &[u8]) {
-        self.send(payload);
-    }
-}
-
-impl PairProto for Paced2 {
-    fn send_payload(&mut self, payload: &[u8]) {
-        self.send(payload);
-    }
-
-    fn fec_stats(&self) -> (u64, u64) {
-        (self.fec_corrected(), self.fec_rejected())
-    }
-}
-
-/// Uniform access to the swarm protocols' queues and inboxes.
-trait SwarmProto {
-    fn send_to(&mut self, label: usize, payload: &[u8]);
-    fn payloads(&self) -> Vec<Vec<u8>>;
-    /// `(corrected, rejected)` FEC counters; protocols without a coded
-    /// channel report zeros.
-    fn fec_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
-}
-
-impl SwarmProto for SyncSwarm {
-    fn send_to(&mut self, label: usize, payload: &[u8]) {
-        self.send_label(label, payload);
-    }
-
-    fn payloads(&self) -> Vec<Vec<u8>> {
-        self.inbox().iter().map(|m| m.payload.clone()).collect()
-    }
-}
-
-impl SwarmProto for AsyncSwarm {
-    fn send_to(&mut self, label: usize, payload: &[u8]) {
-        self.send_label(label, payload);
-    }
-
-    fn payloads(&self) -> Vec<Vec<u8>> {
-        self.inbox().iter().map(|m| m.payload.clone()).collect()
-    }
-}
-
-impl SwarmProto for PacedSwarm {
-    fn send_to(&mut self, label: usize, payload: &[u8]) {
-        self.send_label(label, payload);
+    for (i, stack) in stacks.iter_mut().enumerate() {
+        algo.bits += enqueue_frames(net, i, stack.start())?;
     }
 
-    fn payloads(&self) -> Vec<Vec<u8>> {
-        self.inbox().iter().map(|m| m.payload.clone()).collect()
+    // The pump loop: step, strike newly-crashed robots, route fresh inbox
+    // frames, check termination.
+    let crash_list: Vec<(usize, u64)> = {
+        let mut list = plan.crash_stops().to_vec();
+        list.sort_unstable_by_key(|&(robot, time)| (time, robot));
+        list
+    };
+    let mut live = vec![true; n];
+    let mut notified = vec![false; n];
+    let mut cursor = vec![0usize; n];
+    let mut decided = None;
+    for taken in 1..=spec.budget() {
+        net.run(1).map_err(error_text)?;
+        let now = net.engine().stats().steps;
+        for &(robot, when) in &crash_list {
+            // `steps` counts executed instants, so `now > when` means
+            // instant `when` — where the engine froze the robot — has
+            // already run: the detector never accuses a live robot.
+            if notified[robot] || now <= when {
+                continue;
+            }
+            notified[robot] = true;
+            live[robot] = false;
+            for i in (0..n).filter(|&i| i != robot && live[i]) {
+                let h = home_of(net, i, robot)?;
+                net.engine_mut().protocol_mut(i).suspect(h);
+                algo.bits += enqueue_frames(net, i, stacks[i].on_crash(h))?;
+            }
+        }
+        for i in (0..n).filter(|&i| live[i]) {
+            let fresh: Vec<(usize, Vec<u8>)> = net.engine().protocol(i).inbox()[cursor[i]..]
+                .iter()
+                .map(|m| (m.sender, m.payload.clone()))
+                .collect();
+            cursor[i] += fresh.len();
+            for (sender, payload) in fresh {
+                algo.bits += enqueue_frames(net, i, stacks[i].on_frame(sender, &payload))?;
+            }
+        }
+        if (0..n)
+            .filter(|&i| live[i])
+            .all(|i| stacks[i].all_terminal())
+        {
+            decided = Some(taken);
+            algo.activations_to_decision = Some(net.engine().stats().activations);
+            break;
+        }
     }
+    let Some(taken) = decided else {
+        return Ok(None); // timed out: counters stand, no decision
+    };
 
-    fn fec_stats(&self) -> (u64, u64) {
-        (self.fec_corrected(), self.fec_rejected())
+    // Decision extraction.
+    let mut statuses = Vec::with_capacity(n);
+    for (i, stack) in stacks.iter().enumerate() {
+        *corrupt += stack.unroutable();
+        if !live[i] {
+            continue;
+        }
+        algo.rounds = algo.rounds.max(stack.rounds_of(proto_id).unwrap_or(1));
+        statuses.push(stack.status_of(proto_id).expect("session registered"));
     }
+    algo.rejected = statuses.iter().any(|s| matches!(s, Status::Rejected(_)));
+    match algorithm {
+        AlgorithmSpec::Flood { initiator } => {
+            // The initiator's coverage count is the session decision
+            // (followers decide 1). A crashed initiator leaves the
+            // followers rejecting: terminal, but no decision.
+            if live[initiator] {
+                algo.decision = stacks[initiator]
+                    .status_of(proto_id)
+                    .and_then(|s| s.decision());
+            }
+        }
+        AlgorithmSpec::Election | AlgorithmSpec::Agreement { .. } => {
+            // Every live robot must land on the same terminal status —
+            // the agreement property itself for FloodSet, and the
+            // common-knowledge property for election (identical
+            // electorates see the same unique-or-tied minimum).
+            let first = statuses.first().copied();
+            if statuses.iter().any(|s| Some(*s) != first) {
+                return Err(format!(
+                    "split decision: live robots disagree ({statuses:?})"
+                ));
+            }
+            algo.decision = first.and_then(|s| s.decision());
+        }
+    }
+    // "Delivered" for an algorithm session = terminated with a consistent
+    // decision (a rejection terminates but delivers no decision,
+    // mirroring undelivered payloads).
+    Ok(algo.decision.is_some().then_some(taken))
 }
 
 #[cfg(test)]

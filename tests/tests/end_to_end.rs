@@ -1,11 +1,12 @@
 //! End-to-end delivery across every protocol, naming scheme, scheduler,
 //! and payload shape.
 
-use stigmergy::async2::DriftPolicy;
+use stigmergy::async2::{Async2, DriftPolicy};
 use stigmergy::session::{AsyncNetwork, AsyncPair, SyncNetwork};
 use stigmergy_geometry::Point;
 use stigmergy_integration::ring;
-use stigmergy_scheduler::{FairAsync, RoundRobin, SingleActive};
+use stigmergy_robots::Engine;
+use stigmergy_scheduler::{FairAsync, RoundRobin, SingleActive, WakeAllFirst};
 
 #[test]
 fn every_sync_scheme_delivers_every_pair() {
@@ -96,6 +97,44 @@ fn async_pair_duplex_over_many_seeds() {
         assert_eq!(pair.inbox(1), &[vec![seed as u8, 1, 2]]);
         assert_eq!(pair.inbox(0), &[vec![0xFF, seed as u8]]);
     }
+}
+
+#[test]
+fn async_pair_delivery_is_receipt_not_drain() {
+    // `run_until_delivered` must return at the first instant the
+    // receiver's inbox holds the payload — not later, when the sender has
+    // also seen the trailing acknowledgement. A bare engine built exactly
+    // as `AsyncPair::new` builds its own finds that instant independently.
+    let (a, b, seed) = (Point::new(0.0, 0.0), Point::new(16.0, 0.0), 0xE15);
+    let payload = b"receipt";
+    let mut pair = AsyncPair::new(a, b, DriftPolicy::Diverge, seed).unwrap();
+    pair.send(0, payload).unwrap();
+    let steps = pair.run_until_delivered(2_000_000).unwrap();
+    assert_eq!(pair.inbox(1), &[payload.to_vec()]);
+
+    let mut twin = Engine::builder()
+        .positions([a, b])
+        .protocols([
+            Async2::new(DriftPolicy::Diverge),
+            Async2::new(DriftPolicy::Diverge),
+        ])
+        .schedule(WakeAllFirst::new(FairAsync::new(seed, 0.5, 16)))
+        .frame_seed(seed)
+        .build()
+        .unwrap();
+    twin.protocol_mut(0).send(payload);
+    let receipt = twin
+        .run_until(2_000_000, |e| !e.protocol(1).inbox().is_empty())
+        .unwrap();
+    assert!(receipt.satisfied);
+    assert_eq!(
+        steps, receipt.steps_taken,
+        "returned at the instant of receipt"
+    );
+    assert!(
+        !pair.engine().protocol(0).is_drained(),
+        "the acknowledgement is still in flight at receipt"
+    );
 }
 
 #[test]
