@@ -8,11 +8,12 @@
 //!
 //! The crate is deliberately **zero-dependency and channel-agnostic**.
 //! Sessions speak in local peer indices (`stigmergy::naming` home
-//! indices, `0` = self) and payload bytes; the `stigmergy-fleet` crate
-//! owns the driver that binds a [`NodeStack`] to real robots, feeds it
-//! delivered frames, and relays crash reports from the engine's fault
-//! plan (a perfect failure detector, justified by the freeze-detection
-//! argument in `DESIGN.md` §13).
+//! indices, `0` = self) and payload bytes; `stigmergy::session` owns the
+//! one driver (`Network::run_stacks`) that binds a [`NodeStack`] to real
+//! robots over any swarm protocol, feeds it delivered frames, and relays
+//! crash reports from the engine's fault plan (a perfect failure
+//! detector, justified by the freeze-detection argument in `DESIGN.md`
+//! §13).
 //!
 //! Three algorithms ship, each one layer in the stack:
 //!

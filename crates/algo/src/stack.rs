@@ -9,7 +9,8 @@
 //! frames are demultiplexed by stripping that byte and routing to the
 //! session registered under it.
 //!
-//! The driver contract (implemented by `stigmergy-fleet`):
+//! The driver contract, implemented once for every swarm protocol by
+//! `stigmergy::session::Network::run_stacks`:
 //!
 //! 1. call [`NodeStack::start`] once, transmit the returned frames;
 //! 2. for every frame delivered by the channel, call

@@ -3,11 +3,12 @@
 
 use crate::table::Table;
 use crate::workloads;
-use stigmergy::apps::{run_app, EchoAggregate, LeaderElection};
-use stigmergy::session::SyncNetwork;
+use stigmergy::election_signatures;
+use stigmergy::session::{algorithm_protocol_id, SyncNetwork};
 use stigmergy::stabilize::StabilizingSync;
-use stigmergy_robots::{Capabilities, Engine};
-use stigmergy_scheduler::Synchronous;
+use stigmergy_geometry::Point;
+use stigmergy_robots::{Capabilities, Engine, EngineStats};
+use stigmergy_scheduler::{AlgorithmSpec, Synchronous};
 
 /// E11: self-stabilization (§5) — transient memory faults are absorbed at
 /// the next epoch boundary; the plain protocol stays broken.
@@ -84,6 +85,116 @@ pub fn e11() -> Vec<Table> {
     vec![t]
 }
 
+/// One E12 row: a `stigmergy_algo` algorithm run to its decision by the
+/// session layer's stack driver, every frame carried by movement signals.
+#[derive(Debug, Clone, PartialEq)]
+pub struct E12Row {
+    /// The algorithm.
+    pub algorithm: AlgorithmSpec,
+    /// Robots in the ring.
+    pub n: usize,
+    /// Protocol rounds (FloodSet rounds for agreement, 1 otherwise).
+    pub rounds: u64,
+    /// Channel bits of every frame queued (`16 + 8L` per frame).
+    pub bits: u64,
+    /// The engine's work, preprocessing instant included.
+    pub stats: EngineStats,
+    /// The decision, as the table prints it.
+    pub result: String,
+}
+
+/// Runs flood, election and agreement on e12's three rings (n = 4, 5, 6)
+/// over [`SyncNetwork::anonymous_with_direction`] — the one E12 run that
+/// both the `e12` table and stigbench's `e12` counters read.
+///
+/// # Panics
+///
+/// Panics if a run fails to terminate within 400,000 instants or any
+/// robot decides the wrong value: a table or a benchmark of a broken run
+/// would be meaningless.
+#[must_use]
+pub fn e12_rows() -> Vec<E12Row> {
+    let algorithms = [
+        AlgorithmSpec::Flood { initiator: 0 },
+        AlgorithmSpec::Election,
+        AlgorithmSpec::Agreement { inputs: 0b101 },
+    ];
+    let mut rows = Vec::new();
+    for algorithm in algorithms {
+        for n in [4usize, 5, 6] {
+            let ring = workloads::ring(n, 12.0 * n as f64);
+            let mut net = SyncNetwork::anonymous_with_direction(ring, 0xE12).expect("valid ring");
+            net.run(1).expect("collision-free");
+            let mut stacks = net
+                .algorithm_stacks(algorithm, b"e12")
+                .expect("stacks build");
+            let run = net.run_stacks(&mut stacks, 400_000);
+            let decided = run.terminal_after.expect("collision-free");
+            assert!(
+                decided.is_some(),
+                "e12 {} n={n}: no decision",
+                algorithm.name()
+            );
+            let id = algorithm_protocol_id(algorithm);
+            let decisions: Vec<Option<u64>> = stacks
+                .iter()
+                .map(|s| s.status_of(id).and_then(|st| st.decision()))
+                .collect();
+            let (want, result) = e12_expected(algorithm, net.engine().trace().initial());
+            assert_eq!(decisions, want, "e12 {} n={n}", algorithm.name());
+            rows.push(E12Row {
+                algorithm,
+                n,
+                rounds: stacks
+                    .iter()
+                    .filter_map(|s| s.rounds_of(id))
+                    .max()
+                    .unwrap_or(1),
+                bits: run.bits,
+                stats: net.engine().stats(),
+                result,
+            });
+        }
+    }
+    rows
+}
+
+/// Every robot's correct decision for `algorithm` on `ring`, and the
+/// result as the table prints it.
+fn e12_expected(algorithm: AlgorithmSpec, ring: &[Point]) -> (Vec<Option<u64>>, String) {
+    let n = ring.len();
+    match algorithm {
+        // The initiator decides its coverage count, followers 1.
+        AlgorithmSpec::Flood { initiator } => (
+            (0..n)
+                .map(|i| Some(if i == initiator { n as u64 } else { 1 }))
+                .collect(),
+            format!("coverage {n}/{n}"),
+        ),
+        // Everyone decides the unique minimum 32-bit signature.
+        AlgorithmSpec::Election => {
+            let sigs: Vec<u64> = election_signatures(ring)
+                .expect("ring has signatures")
+                .into_iter()
+                .map(|s| u64::from(s as u32))
+                .collect();
+            let min = *sigs.iter().min().expect("non-empty ring");
+            let leader = sigs.iter().position(|&s| s == min).expect("minimum exists");
+            assert_eq!(
+                sigs.iter().filter(|&&s| s == min).count(),
+                1,
+                "unique leader"
+            );
+            (vec![Some(min); n], format!("leader = robot {leader}"))
+        }
+        // Everyone decides the AND of every input.
+        AlgorithmSpec::Agreement { inputs } => {
+            let all = u64::from((0..n).all(|i| (inputs >> i) & 1 == 1));
+            (vec![Some(all); n], format!("agreed {all}"))
+        }
+    }
+}
+
 /// E12: the title claim — classical distributed algorithms running with
 /// every message carried by movement signals.
 #[must_use]
@@ -95,54 +206,23 @@ pub fn e12() -> Vec<Table> {
             "n",
             "rounds",
             "movement instants",
+            "frame bits",
             "result",
-            "correct",
         ],
     );
-
-    // Leader election by nonce flooding.
-    for n in [4usize, 6] {
-        let nonces: Vec<u64> = (0..n).map(|i| (i as u64 * 37 + 11) % 53).collect();
-        let expected = nonces
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &v)| v)
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        let mut net =
-            SyncNetwork::anonymous_with_direction(workloads::ring(n, 12.0 * n as f64), 0xE12)
-                .expect("valid ring");
-        let mut apps: Vec<LeaderElection> =
-            nonces.iter().map(|&v| LeaderElection::new(v)).collect();
-        let rounds = run_app(&mut net, &mut apps, 20, 400_000).expect("quiescence");
-        let agreed = apps.iter().all(|a| a.leader() == Some(expected));
+    for row in e12_rows() {
+        let algorithm = match row.algorithm {
+            AlgorithmSpec::Flood { .. } => "flood (convergecast ack)",
+            AlgorithmSpec::Election => "leader election (SEC signatures)",
+            AlgorithmSpec::Agreement { .. } => "binary agreement (FloodSet)",
+        };
         t.row([
-            "leader election (max-nonce flood)".to_string(),
-            n.to_string(),
-            rounds.to_string(),
-            net.engine().time().to_string(),
-            format!("leader = robot {expected}"),
-            agreed.to_string(),
-        ]);
-    }
-
-    // Sum aggregation.
-    {
-        let n = 5usize;
-        let values: Vec<u32> = (0..n as u32).map(|i| 10 * (i + 1)).collect();
-        let expected: u64 = values.iter().map(|&v| u64::from(v)).sum();
-        let mut net = SyncNetwork::anonymous_with_direction(workloads::ring(n, 60.0), 0xE12)
-            .expect("valid ring");
-        let mut apps: Vec<EchoAggregate> =
-            values.iter().map(|&v| EchoAggregate::new(v, 0)).collect();
-        let rounds = run_app(&mut net, &mut apps, 10, 400_000).expect("quiescence");
-        t.row([
-            "echo aggregation (sum)".to_string(),
-            n.to_string(),
-            rounds.to_string(),
-            net.engine().time().to_string(),
-            format!("sum = {}", apps[0].sum()),
-            (apps[0].sum() == expected).to_string(),
+            algorithm.to_string(),
+            row.n.to_string(),
+            row.rounds.to_string(),
+            row.stats.steps.to_string(),
+            row.bits.to_string(),
+            row.result,
         ]);
     }
     vec![t]
@@ -473,9 +553,14 @@ mod tests {
 
     #[test]
     fn e12_algorithms_are_correct() {
+        // `e12_rows` panics on any wrong decision; every row decides.
         let tables = e12();
         let s = tables[0].to_string();
-        assert!(!s.contains("| false |"), "{s}");
-        assert_eq!(tables[0].len(), 3);
+        assert_eq!(tables[0].len(), 9, "{s}");
+        for n in 4..=6 {
+            assert!(s.contains(&format!("coverage {n}/{n}")), "{s}");
+        }
+        assert_eq!(s.matches("leader = robot").count(), 3, "{s}");
+        assert_eq!(s.matches("agreed 0").count(), 3, "{s}");
     }
 }

@@ -9,9 +9,9 @@
 //!    adversarial schedules × 3 fault plans × 16 seeds = 864 sessions)
 //!    through the fleet runtime, the workload the hot-path rewrite was
 //!    profiled against.
-//! 2. **`e12`** — distributed computation over movement signals (leader
-//!    election and echo aggregation on the synchronous network), the
-//!    title-claim workload.
+//! 2. **`e12`** — distributed computation over movement signals (flood,
+//!    leader election and binary agreement on the synchronous network),
+//!    the title-claim workload.
 //! 3. **`micro-<protocol>`** — one adversarial session per conformance
 //!    protocol, so a regression in a single protocol's hot path can't
 //!    hide inside the sweep aggregate.
@@ -25,16 +25,14 @@
 
 use std::time::Instant;
 
-use stigmergy::apps::{run_app, EchoAggregate, LeaderElection};
-use stigmergy::session::SyncNetwork;
 use stigmergy_fleet::{
     fnv1a64_update, run_batch, run_session, BatchSpec, ProtocolKind, SessionSpec, CONFORMANCE,
     DEFAULT_PAYLOAD,
 };
 use stigmergy_scheduler::{CodingSpec, FaultSpec, ScheduleSpec};
 
+use crate::experiments::claims_c::{e12_rows, E12Row};
 use crate::table::Table;
-use crate::workloads;
 
 /// Document format version; bump when the JSON shape changes.
 pub const FORMAT_VERSION: u32 = 1;
@@ -142,75 +140,45 @@ pub fn batch_workload(name: String, spec: &BatchSpec, workers: usize) -> Workloa
     }
 }
 
-/// The E12 workload: leader election (n = 4, 6) and echo aggregation
-/// (n = 5) over movement signals, with every engine's instants and
-/// activations summed into the counters.
+/// Shortest wall-clock the `e12` workload measures its rates over. One
+/// E12 run takes a few milliseconds, too short for a timer to tell a
+/// regression from noise, so the workload repeats it until this much
+/// time has passed.
+pub const E12_MIN_SECONDS: f64 = 0.25;
+
+/// The E12 workload: flood, election and agreement on three rings
+/// (n = 4, 5, 6) over movement signals — [`e12_rows`], with every
+/// engine's instants, activations and moves and every run's rounds
+/// summed into the counters. The counters are one run's; the wall-clock
+/// rates cover as many identical runs as fit in [`E12_MIN_SECONDS`].
 ///
 /// # Panics
 ///
-/// Panics if an algorithm fails to reach quiescence or computes the
-/// wrong answer — this is the tier-1 e12 workload, and a benchmark of a
-/// broken run would be meaningless.
+/// Panics if an algorithm fails to decide or decides wrongly (see
+/// [`e12_rows`]) — a benchmark of a broken run would be meaningless.
 #[must_use]
 pub fn e12_workload() -> WorkloadResult {
     let t0 = Instant::now();
-    let mut steps = 0u64;
-    let mut activations = 0u64;
-    let mut moves = 0u64;
-    let mut rounds = 0u64;
-
-    for n in [4usize, 6] {
-        let nonces: Vec<u64> = (0..n).map(|i| (i as u64 * 37 + 11) % 53).collect();
-        let expected = nonces
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &v)| v)
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        let mut net =
-            SyncNetwork::anonymous_with_direction(workloads::ring(n, 12.0 * n as f64), 0xE12)
-                .expect("valid ring");
-        let mut apps: Vec<LeaderElection> =
-            nonces.iter().map(|&v| LeaderElection::new(v)).collect();
-        rounds += run_app(&mut net, &mut apps, 20, 400_000).expect("quiescence") as u64;
-        assert!(
-            apps.iter().all(|a| a.leader() == Some(expected)),
-            "leader election diverged"
-        );
-        let stats = net.engine().stats();
-        steps += stats.steps;
-        activations += stats.activations;
-        moves += stats.moves;
+    let rows = e12_rows();
+    let mut runs = 1;
+    while t0.elapsed().as_secs_f64() < E12_MIN_SECONDS {
+        let _ = e12_rows();
+        runs += 1;
     }
-
-    {
-        let n = 5usize;
-        let values: Vec<u32> = (0..n as u32).map(|i| 10 * (i + 1)).collect();
-        let expected: u64 = values.iter().map(|&v| u64::from(v)).sum();
-        let mut net = SyncNetwork::anonymous_with_direction(workloads::ring(n, 60.0), 0xE12)
-            .expect("valid ring");
-        let mut apps: Vec<EchoAggregate> =
-            values.iter().map(|&v| EchoAggregate::new(v, 0)).collect();
-        rounds += run_app(&mut net, &mut apps, 10, 400_000).expect("quiescence") as u64;
-        assert_eq!(apps[0].sum(), expected, "echo aggregation diverged");
-        let stats = net.engine().stats();
-        steps += stats.steps;
-        activations += stats.activations;
-        moves += stats.moves;
-    }
-
     let wall = t0.elapsed().as_secs_f64();
+    let sum = |f: fn(&E12Row) -> u64| rows.iter().map(f).sum::<u64>();
+    let (steps, activations) = (sum(|r| r.stats.steps), sum(|r| r.stats.activations));
     WorkloadResult {
         name: "e12".into(),
         counters: vec![
             ("steps", steps),
             ("activations", activations),
-            ("moves", moves),
-            ("rounds", rounds),
+            ("moves", sum(|r| r.stats.moves)),
+            ("rounds", sum(|r| r.rounds)),
         ],
         wall_seconds: wall,
-        steps_per_sec: rate(steps, wall),
-        activations_per_sec: rate(activations, wall),
+        steps_per_sec: rate(steps * runs, wall),
+        activations_per_sec: rate(activations * runs, wall),
     }
 }
 

@@ -186,9 +186,9 @@ impl AsyncSwarm {
     ///
     /// The §4.2 sending rule waits until *every* other robot changed
     /// position twice — so one crash-stopped peer wedges every sender
-    /// forever. The repo's algorithm driver acts as a perfect failure
-    /// detector: it sees the engine's crash-stop fault events and calls
-    /// `suspect` on every surviving robot, after which excursions are
+    /// forever. The stack driver ([`crate::session::Network::run_stacks`])
+    /// acts as a perfect failure detector: it sees the fault plan's
+    /// crash-stop instants and calls `suspect` on every surviving robot, after which excursions are
     /// acknowledged by the live peers alone (Lemma 4.1 still applies
     /// pairwise to each of them). Suspecting is deliberately one-way —
     /// crash-stop faults are permanent in this model.
@@ -371,6 +371,9 @@ impl crate::session::SwarmProtocol for AsyncSwarm {
     }
     fn failure(&self) -> Option<&crate::CoreError> {
         self.init_error()
+    }
+    fn suspect(&mut self, home: usize) {
+        AsyncSwarm::suspect(self, home);
     }
 }
 

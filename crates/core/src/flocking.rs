@@ -109,6 +109,9 @@ impl<P: SwarmProtocol> SwarmProtocol for Flocking<P> {
     fn fec_stats(&self) -> (u64, u64) {
         self.inner.fec_stats()
     }
+    fn suspect(&mut self, home: usize) {
+        self.inner.suspect(home);
+    }
 }
 
 #[cfg(test)]

@@ -44,7 +44,6 @@
 //! ```
 
 pub mod ack;
-pub mod apps;
 pub mod async2;
 pub mod async_n;
 pub mod backup;

@@ -150,6 +150,8 @@ pub fn label_by_id(ids: &[VisibleId]) -> Result<Labeling, NamingError> {
 /// Requires sense of direction: all observers' frames share axes up to
 /// translation and positive scale, under which `(x, y)` lexicographic
 /// order is invariant — so every robot computes the *same* labelling.
+/// `x` values within [`Tolerance::default`] of each other count as equal,
+/// so rounding in the observers' frames cannot reorder robots.
 ///
 /// # Errors
 ///
@@ -157,15 +159,22 @@ pub fn label_by_id(ids: &[VisibleId]) -> Result<Labeling, NamingError> {
 pub fn label_by_lex(positions: &[Point]) -> Result<Labeling, NamingError> {
     let tol = Tolerance::default();
     let mut order: Vec<usize> = (0..positions.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (pa, pb) = (positions[a], positions[b]);
-        pa.x.partial_cmp(&pb.x)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(pa.y.partial_cmp(&pb.y).unwrap_or(std::cmp::Ordering::Equal))
-    });
+    order.sort_by(|&a, &b| positions[a].x.total_cmp(&positions[b].x));
+    // Observers' frames round differently, so `x` values a rounding error
+    // apart form one column, ordered by `y`. A column is a run of sorted
+    // `x` values each within tolerance of the previous one; a tolerant
+    // comparator instead would not be transitive, which sorting forbids.
+    let mut start = 0;
+    while start < order.len() {
+        let mut end = start + 1;
+        while end < order.len() && tol.eq(positions[order[end - 1]].x, positions[order[end]].x) {
+            end += 1;
+        }
+        order[start..end].sort_by(|&a, &b| positions[a].y.total_cmp(&positions[b].y));
+        start = end;
+    }
     for w in order.windows(2) {
         if positions[w[0]].approx_eq(positions[w[1]]) {
-            let _ = tol;
             return Err(NamingError::AmbiguousPositions {
                 first: w[0].min(w[1]),
                 second: w[0].max(w[1]),
@@ -439,20 +448,36 @@ mod tests {
     fn lex_order_invariant_under_translation_and_scale() {
         // The §3.3 argument: frames share axes; translation + positive
         // scale preserve the order.
-        let pts = [
+        let spread = [
             Point::new(0.3, 1.9),
             Point::new(-1.2, 0.4),
             Point::new(2.5, -0.7),
             Point::new(0.3, -2.1),
         ];
-        let base = label_by_lex(&pts).unwrap();
-        for (dx, dy, s) in [(10.0, -5.0, 1.0), (0.0, 0.0, 3.7), (-2.0, 8.0, 0.2)] {
-            let moved: Vec<Point> = pts
-                .iter()
-                .map(|p| Point::new((p.x + dx) * s, (p.y + dy) * s))
-                .collect();
-            let l = label_by_lex(&moved).unwrap();
-            assert_eq!(l, base, "dx={dx} dy={dy} s={s}");
+        // Two robots whose `x` differ by a rounding error: shifting by
+        // 100 rounds the difference away, so an exact comparison of `x`
+        // would order them differently before and after.
+        let near_tie = [
+            Point::new(0.0, 2.0),
+            Point::new(1e-15, -2.0),
+            Point::new(-3.0, 0.5),
+            Point::new(3.0, -0.5),
+        ];
+        for pts in [spread, near_tie] {
+            let base = label_by_lex(&pts).unwrap();
+            for (dx, dy, s) in [
+                (10.0, -5.0, 1.0),
+                (0.0, 0.0, 3.7),
+                (-2.0, 8.0, 0.2),
+                (100.0, 0.0, 1.0),
+            ] {
+                let moved: Vec<Point> = pts
+                    .iter()
+                    .map(|p| Point::new((p.x + dx) * s, (p.y + dy) * s))
+                    .collect();
+                let l = label_by_lex(&moved).unwrap();
+                assert_eq!(l, base, "{pts:?} dx={dx} dy={dy} s={s}");
+            }
         }
     }
 

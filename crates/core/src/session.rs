@@ -10,6 +10,9 @@
 //! everything is delivered. [`Pair`] does the same for the two-robot
 //! protocols, whose only peer needs no address, and [`HardenedSession`]
 //! layers retransmission and a secondary channel over a [`SyncNetwork`].
+//! [`Network::run_stacks`] runs the distributed algorithms of
+//! `stigmergy_algo` — one [`NodeStack`] per robot — over any swarm
+//! protocol.
 //!
 //! The convenience constructors build a ready-made engine; batch runtimes
 //! configure their own (schedule, fault plan, trace observer) and wrap it
@@ -36,14 +39,20 @@ use crate::async2::{Async2, DriftPolicy};
 use crate::async_n::AsyncSwarm;
 use crate::backup::{Channel, Delivery, Wireless};
 use crate::decode::InboxEntry;
-use crate::naming::{label_by_id, label_by_lex, label_by_sec};
+use crate::naming::{election_signature, label_by_id, label_by_lex, label_by_sec};
 use crate::preprocess::{NamingScheme, SwarmGeometry};
 use crate::sync_swarm::SyncSwarm;
 use crate::CoreError;
+use stigmergy_algo::{
+    agreement, election, flood, AgreementSession, ElectionSession, FloodSession, NodeStack,
+    Outgoing, Session,
+};
 use stigmergy_coding::fec::{protect_bytes, recover_bytes};
 use stigmergy_geometry::Point;
 use stigmergy_robots::{Capabilities, Engine, MovementProtocol};
-use stigmergy_scheduler::{FairAsync, FaultPlan, Schedule, Synchronous, WakeAllFirst};
+use stigmergy_scheduler::{
+    AlgorithmSpec, FairAsync, FaultPlan, Schedule, Synchronous, WakeAllFirst,
+};
 
 /// The protocol-side interface a [`Network`] drives.
 ///
@@ -67,6 +76,11 @@ pub trait SwarmProtocol: MovementProtocol {
     fn fec_stats(&self) -> (u64, u64) {
         (0, 0)
     }
+    /// The failure detector reports that the robot at this robot's home
+    /// index `home` crashed. Protocols whose sending rule waits on every
+    /// peer stop waiting on it; the synchronous swarms, which wait on
+    /// nobody, ignore it.
+    fn suspect(&mut self, _home: usize) {}
 }
 
 /// The protocol-side interface a [`Pair`] drives: the two-robot
@@ -140,6 +154,36 @@ impl SessionReport {
     }
 }
 
+/// The protocol id `algorithm`'s session registers under in the stacks
+/// [`Network::algorithm_stacks`] builds.
+#[must_use]
+pub fn algorithm_protocol_id(algorithm: AlgorithmSpec) -> u8 {
+    match algorithm {
+        AlgorithmSpec::Flood { .. } => flood::PROTOCOL_ID,
+        AlgorithmSpec::Election => election::PROTOCOL_ID,
+        AlgorithmSpec::Agreement { .. } => agreement::PROTOCOL_ID,
+    }
+}
+
+/// What [`Network::run_stacks`] measured. The counters cover the whole
+/// run, however it ended.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StackRun {
+    /// How the run ended: `Ok(Some(t))` when every live stack was
+    /// terminal after `t` instants, `Ok(None)` when the budget ran out
+    /// first, or the error that stopped the run.
+    pub terminal_after: Result<Option<u64>, CoreError>,
+    /// Channel cost of every frame queued, in bits: 16 header bits plus
+    /// 8 per payload byte (`bits(L) = 16 + 8L`, one excursion per bit).
+    pub bits: u64,
+    /// Frames no stack could demultiplex, summed over every robot.
+    pub unroutable: u64,
+    /// Engine activations when the last live stack turned terminal.
+    pub activations_to_decision: Option<u64>,
+    /// Per robot: `false` once the failure detector reported its crash.
+    pub live: Vec<bool>,
+}
+
 /// The messages a session queued and has not yet seen arrive.
 ///
 /// Delivery is checked incrementally: each check scans only the inbox
@@ -179,6 +223,12 @@ impl Expectations {
     fn unscanned(&self, to: usize, len: usize) -> Option<usize> {
         let start = self.scanned[to];
         (len > start && self.owed.iter().any(|(_, t, _)| *t == to)).then_some(start)
+    }
+
+    /// Marks robot `to`'s first `len` inbox entries as scanned without
+    /// matching them: another consumer (an algorithm stack) read them.
+    fn consumed(&mut self, to: usize, len: usize) {
+        self.scanned[to] = self.scanned[to].max(len);
     }
 
     /// Scans robot `to`'s new inbox entries, given as `(sender, payload)`;
@@ -523,6 +573,189 @@ impl<P: SwarmProtocol> Network<P> {
             dest: to,
             cohort: homes.len(),
         })
+    }
+
+    /// One single-layer [`NodeStack`] per robot, ready for
+    /// [`Network::run_stacks`]: each runs `algorithm`, with its peers
+    /// addressed by its robot's home indices. A flood initiator floods
+    /// `payload`; an election candidate claims its robot's
+    /// [`election_signature`] truncated to the 32-bit wire width (which
+    /// preserves symmetry ties); agreement runs `f + 1` FloodSet rounds,
+    /// `f` the number of crash-stops in the engine's fault plan. Call it
+    /// once the robots have preprocessed and the fault plan is armed.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownDestination`] if a robot cannot place the
+    /// flood initiator among its homes, or [`CoreError::Naming`] if the
+    /// configuration has no election signatures.
+    pub fn algorithm_stacks(
+        &self,
+        algorithm: AlgorithmSpec,
+        payload: &[u8],
+    ) -> Result<Vec<NodeStack>, CoreError> {
+        let n = self.cohort();
+        let max_rounds = self.engine.fault_plan().crash_stops().len() as u64 + 1;
+        let mut stacks = Vec::with_capacity(n);
+        for i in 0..n {
+            let session: Box<dyn Session> = match algorithm {
+                AlgorithmSpec::Flood { initiator } if i == initiator => {
+                    Box::new(FloodSession::initiator(payload.to_vec(), n))
+                }
+                AlgorithmSpec::Flood { initiator } => {
+                    let home = self
+                        .home_of(i, initiator)
+                        .ok_or(CoreError::UnknownDestination {
+                            dest: initiator,
+                            cohort: n,
+                        })?;
+                    Box::new(FloodSession::follower(home))
+                }
+                AlgorithmSpec::Election => {
+                    // Similarity-invariant, so the world-frame snapshot
+                    // gives each robot's own local-frame signature.
+                    let sig = election_signature(self.engine.trace().initial(), i)?;
+                    Box::new(ElectionSession::new(sig as u32, n))
+                }
+                AlgorithmSpec::Agreement { inputs } => {
+                    Box::new(AgreementSession::new((inputs >> i) & 1 == 1, n, max_rounds))
+                }
+            };
+            let mut stack = NodeStack::new();
+            stack.register(algorithm_protocol_id(algorithm), session);
+            stacks.push(stack);
+        }
+        Ok(stacks)
+    }
+
+    /// Runs one [`NodeStack`] per robot over the movement channel until
+    /// every live stack is terminal or `budget` instants have run. This
+    /// is the only code that binds algorithm stacks to robots.
+    ///
+    /// A stack's peers are its robot's home indices (`0` is the robot
+    /// itself); the network translates them to addresses, and every frame
+    /// a stack returns is queued on its robot's protocol at once. After
+    /// starting every stack, each instant:
+    ///
+    /// 1. steps the engine;
+    /// 2. acts as the perfect failure detector: for each crash-stop of
+    ///    the engine's fault plan ([`FaultPlan::crash_stops`], taken in
+    ///    `(instant, robot)` order; robots outside the cohort are
+    ///    ignored) whose instant has run, every surviving robot, in robot
+    ///    order, gets [`SwarmProtocol::suspect`] and
+    ///    [`NodeStack::on_crash`];
+    /// 3. routes every live robot's fresh inbox frames into its stack;
+    /// 4. stops once every live stack is terminal.
+    ///
+    /// The stacks consume every inbox entry, so a later [`Network::send`]
+    /// or [`Network::broadcast`] does not count the algorithm's frames
+    /// as corrupt. Identical stacks and engine give identical runs. Call
+    /// it once the robots have preprocessed (after their first instant)
+    /// and the fault plan is armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one stack per robot.
+    pub fn run_stacks(&mut self, stacks: &mut [NodeStack], budget: u64) -> StackRun {
+        let n = self.cohort();
+        assert_eq!(stacks.len(), n, "one stack per robot");
+        let mut run = StackRun {
+            terminal_after: Ok(None),
+            bits: 0,
+            unroutable: 0,
+            activations_to_decision: None,
+            live: vec![true; n],
+        };
+        run.terminal_after = self.pump_stacks(stacks, budget, &mut run);
+        run.unroutable = stacks.iter().map(NodeStack::unroutable).sum();
+        for (i, protocol) in self.engine.protocols().iter().enumerate() {
+            self.expected.consumed(i, protocol.inbox_entries().len());
+        }
+        run
+    }
+
+    /// [`Network::run_stacks`]'s loop; counters accumulate in `run`.
+    fn pump_stacks(
+        &mut self,
+        stacks: &mut [NodeStack],
+        budget: u64,
+        run: &mut StackRun,
+    ) -> Result<Option<u64>, CoreError> {
+        let n = self.cohort();
+        for (i, stack) in stacks.iter_mut().enumerate() {
+            run.bits += self.queue_frames(i, stack.start())?;
+        }
+        let mut crashes = self.engine.fault_plan().crash_stops().to_vec();
+        crashes.retain(|&(robot, _)| robot < n);
+        crashes.sort_unstable_by_key(|&(robot, time)| (time, robot));
+        let mut cursor = vec![0usize; n];
+        for taken in 1..=budget {
+            self.run(1)?;
+            let now = self.engine.stats().steps;
+            for &(robot, when) in &crashes {
+                // `steps` counts executed instants, so `now > when` means
+                // instant `when` — where the engine froze the robot — has
+                // already run: the detector never accuses a live robot.
+                if !run.live[robot] || now <= when {
+                    continue;
+                }
+                run.live[robot] = false;
+                for i in (0..n).filter(|&i| run.live[i]) {
+                    let home = self
+                        .home_of(i, robot)
+                        .ok_or(CoreError::UnknownDestination {
+                            dest: robot,
+                            cohort: n,
+                        })?;
+                    self.engine.protocol_mut(i).suspect(home);
+                    run.bits += self.queue_frames(i, stacks[i].on_crash(home))?;
+                }
+            }
+            for i in (0..n).filter(|&i| run.live[i]) {
+                let fresh: Vec<(usize, Vec<u8>)> = self.engine.protocol(i).inbox_entries()
+                    [cursor[i]..]
+                    .iter()
+                    .map(|m| (m.sender, m.payload.clone()))
+                    .collect();
+                cursor[i] += fresh.len();
+                for (sender, payload) in fresh {
+                    run.bits += self.queue_frames(i, stacks[i].on_frame(sender, &payload))?;
+                }
+            }
+            if (0..n)
+                .filter(|&i| run.live[i])
+                .all(|i| stacks[i].all_terminal())
+            {
+                run.activations_to_decision = Some(self.engine.stats().activations);
+                return Ok(Some(taken));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Queues a stack's frames on robot `robot`'s protocol and returns
+    /// their channel cost in bits (`16 + 8L` per frame).
+    fn queue_frames(&mut self, robot: usize, frames: Vec<Outgoing>) -> Result<u64, CoreError> {
+        let mut bits = 0;
+        for frame in frames {
+            bits += 16 + 8 * frame.body().len() as u64;
+            match frame {
+                Outgoing::Broadcast { body } => {
+                    self.engine.protocol_mut(robot).queue_broadcast(&body);
+                }
+                Outgoing::Unicast { peer, body } => {
+                    let to = self
+                        .robot_at(robot, peer)
+                        .ok_or(CoreError::UnknownDestination {
+                            dest: peer,
+                            cohort: self.cohort(),
+                        })?;
+                    let label = self.label(robot, to)?;
+                    self.engine.protocol_mut(robot).queue_label(label, &body);
+                }
+            }
+        }
+        Ok(bits)
     }
 
     /// Matches newly arrived inbox entries against the owed messages.
@@ -1046,6 +1279,7 @@ impl HardenedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stigmergy_algo::{PeerId, Status};
 
     fn triangle() -> Vec<Point> {
         vec![
@@ -1425,6 +1659,218 @@ mod tests {
             Err(CoreError::UnknownDestination { .. })
         ));
         assert!(matches!(s.send(1, 1, b"x"), Err(CoreError::SelfAddressed)));
+    }
+
+    /// The irregular ring the e12 experiment runs on: radii jittered by
+    /// `0.02 (k + 1) / n`. At n = 4, robots 0 and 2 share `x` up to a
+    /// rounding error, so observers' frames can disagree on their order.
+    fn jittered_ring(n: usize, radius: f64) -> Vec<Point> {
+        (0..n)
+            .map(|k| {
+                let theta = std::f64::consts::TAU * (k as f64) / (n as f64);
+                let r = radius * (1.0 + 0.02 * (k as f64 + 1.0) / (n as f64));
+                Point::new(r * theta.sin(), r * theta.cos())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lex_near_tie_ring_routes_every_message_to_its_addressees() {
+        let mut net = SyncNetwork::anonymous_with_direction(jittered_ring(4, 48.0), 0xE12).unwrap();
+        let mut expected: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); 4];
+        for from in 0..4 {
+            net.broadcast(from, &[0xB0 | from as u8]).unwrap();
+            for to in (0..4).filter(|&to| to != from) {
+                expected[to].push((from, vec![0xB0 | from as u8]));
+                let unicast = [from as u8, to as u8];
+                net.send(from, to, &unicast).unwrap();
+                expected[to].push((from, unicast.to_vec()));
+            }
+        }
+        net.run_until_delivered(100_000).unwrap();
+        for (robot, mut want) in expected.into_iter().enumerate() {
+            let mut got = net.inbox(robot);
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "robot {robot}");
+        }
+        assert_eq!(net.report().corrupt, 0);
+    }
+
+    /// Broadcasts one frame at start, then never terminates.
+    struct Chatter;
+
+    impl Session for Chatter {
+        fn on_start(&mut self, out: &mut Vec<Outgoing>) {
+            out.push(Outgoing::Broadcast { body: vec![0xAA] });
+        }
+        fn on_message(&mut self, _: PeerId, _: &[u8], _: &mut Vec<Outgoing>) {}
+        fn on_crash(&mut self, _: PeerId, _: &mut Vec<Outgoing>) {}
+        fn status(&self) -> Status {
+            Status::Active
+        }
+    }
+
+    fn stack_of(id: u8, session: Box<dyn Session>) -> NodeStack {
+        let mut stack = NodeStack::new();
+        stack.register(id, session);
+        stack
+    }
+
+    /// The statuses of every stack's session registered under `id`.
+    fn statuses(stacks: &[NodeStack], id: u8) -> Vec<Status> {
+        stacks.iter().map(|s| s.status_of(id).unwrap()).collect()
+    }
+
+    #[test]
+    fn election_stacks_agree_on_one_leader() {
+        let ring = jittered_ring(5, 60.0);
+        let sigs: Vec<u32> = (0..5)
+            .map(|i| crate::election_signature(&ring, i).unwrap() as u32)
+            .collect();
+        let mut net = SyncNetwork::anonymous_with_direction(ring, 0xA99).unwrap();
+        net.run(1).unwrap();
+        let mut stacks = net.algorithm_stacks(AlgorithmSpec::Election, b"").unwrap();
+        let run = net.run_stacks(&mut stacks, 400_000);
+        assert!(matches!(run.terminal_after, Ok(Some(_))), "{run:?}");
+        let leader = *sigs.iter().min().unwrap();
+        assert_eq!(sigs.iter().filter(|&&s| s == leader).count(), 1);
+        assert_eq!(
+            statuses(&stacks, election::PROTOCOL_ID),
+            vec![Status::Decided(u64::from(leader)); 5]
+        );
+        // Five claims of `[id, op, sig: u32]`.
+        assert_eq!(run.bits, 5 * (16 + 8 * 6));
+        assert_eq!(run.unroutable, 0);
+    }
+
+    #[test]
+    fn messages_after_stacks_do_not_count_algorithm_frames_as_corrupt() {
+        let mut net = SyncNetwork::anonymous_with_direction(jittered_ring(5, 60.0), 0xA99).unwrap();
+        net.run(1).unwrap();
+        let mut stacks = net.algorithm_stacks(AlgorithmSpec::Election, b"").unwrap();
+        let run = net.run_stacks(&mut stacks, 400_000);
+        assert!(matches!(run.terminal_after, Ok(Some(_))), "{run:?}");
+        net.broadcast(2, b"after").unwrap();
+        net.send(0, 3, b"too").unwrap();
+        net.run_until_delivered(100_000).unwrap();
+        let report = net.report();
+        assert!(report.delivered);
+        assert_eq!(report.corrupt, 0);
+    }
+
+    #[test]
+    fn flood_stacks_cover_a_chirality_only_network() {
+        let mut net = SyncNetwork::anonymous(jittered_ring(4, 30.0), 0xF1).unwrap();
+        net.run(1).unwrap();
+        let mut stacks: Vec<NodeStack> = (0..4)
+            .map(|i| {
+                let session: Box<dyn Session> = if i == 2 {
+                    Box::new(FloodSession::initiator(b"flood".to_vec(), 4))
+                } else {
+                    Box::new(FloodSession::follower(net.home_of(i, 2).unwrap()))
+                };
+                stack_of(flood::PROTOCOL_ID, session)
+            })
+            .collect();
+        let run = net.run_stacks(&mut stacks, 400_000);
+        assert!(matches!(run.terminal_after, Ok(Some(_))), "{run:?}");
+        assert_eq!(
+            statuses(&stacks, flood::PROTOCOL_ID),
+            [1, 1, 4, 1].map(Status::Decided).to_vec()
+        );
+        // One DATA broadcast `[id, op, b"flood"]` and three `[id, op]` acks.
+        assert_eq!(run.bits, (16 + 8 * 7) + 3 * (16 + 8 * 2));
+    }
+
+    #[test]
+    fn agreement_stacks_fold_every_input() {
+        let mut net = SyncNetwork::anonymous_with_direction(jittered_ring(4, 30.0), 0xA6).unwrap();
+        net.run(1).unwrap();
+        let mut stacks: Vec<NodeStack> = [true, true, false, true]
+            .into_iter()
+            .map(|input| {
+                stack_of(
+                    agreement::PROTOCOL_ID,
+                    Box::new(AgreementSession::new(input, 4, 1)),
+                )
+            })
+            .collect();
+        let run = net.run_stacks(&mut stacks, 400_000);
+        assert!(matches!(run.terminal_after, Ok(Some(_))), "{run:?}");
+        assert_eq!(
+            statuses(&stacks, agreement::PROTOCOL_ID),
+            vec![Status::Decided(0); 4]
+        );
+        assert!(stacks
+            .iter()
+            .all(|s| s.rounds_of(agreement::PROTOCOL_ID) == Some(1)));
+    }
+
+    #[test]
+    fn agreement_stacks_decide_among_survivors_of_a_crash() {
+        // Robot 3 crash-stops at instant 5, before its first vote frame
+        // can complete: the survivors fold only their own inputs.
+        let mut net = SyncNetwork::anonymous_with_direction(jittered_ring(4, 30.0), 0xA7).unwrap();
+        net.run(1).unwrap();
+        net.engine_mut()
+            .set_fault_plan(FaultPlan::new(7).crash_stop(3, 5));
+        let inputs = AlgorithmSpec::Agreement { inputs: 0b0111 };
+        let mut stacks = net.algorithm_stacks(inputs, b"").unwrap();
+        let run = net.run_stacks(&mut stacks, 400_000);
+        assert!(matches!(run.terminal_after, Ok(Some(_))), "{run:?}");
+        assert_eq!(run.live, [true, true, true, false]);
+        assert_eq!(
+            statuses(&stacks[..3], agreement::PROTOCOL_ID),
+            vec![Status::Decided(1); 3]
+        );
+    }
+
+    #[test]
+    fn empty_stacks_are_terminal_after_one_instant() {
+        let mut net = SyncNetwork::anonymous_with_direction(triangle(), 4).unwrap();
+        let mut stacks = vec![NodeStack::new(), NodeStack::new(), NodeStack::new()];
+        let run = net.run_stacks(&mut stacks, 10_000);
+        assert_eq!(run.terminal_after, Ok(Some(1)));
+        assert_eq!(run.bits, 0);
+        assert_eq!(run.activations_to_decision, Some(3));
+    }
+
+    #[test]
+    fn crash_stops_outside_the_cohort_are_ignored() {
+        let mut net = SyncNetwork::anonymous_with_direction(triangle(), 4).unwrap();
+        net.engine_mut()
+            .set_fault_plan(FaultPlan::new(1).crash_stop(9, 0));
+        let mut stacks = vec![NodeStack::new(), NodeStack::new(), NodeStack::new()];
+        let run = net.run_stacks(&mut stacks, 10);
+        assert_eq!(run.terminal_after, Ok(Some(1)));
+        assert_eq!(run.live, [true; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one stack per robot")]
+    fn run_stacks_needs_one_stack_per_robot() {
+        let mut net = SyncNetwork::anonymous_with_direction(triangle(), 5).unwrap();
+        let _ = net.run_stacks(&mut [NodeStack::new()], 10);
+    }
+
+    #[test]
+    fn timed_out_run_counts_unroutable_frames() {
+        // Robot 0 chatters under protocol id 0x7f and its peers under
+        // 0x01, so each broadcast is unroutable at the robots running the
+        // other id. Nobody ever terminates, so the budget runs out.
+        let mut net = SyncNetwork::anonymous_with_direction(triangle(), 6).unwrap();
+        net.run(1).unwrap();
+        let mut stacks = vec![
+            stack_of(0x7f, Box::new(Chatter)),
+            stack_of(0x01, Box::new(Chatter)),
+            stack_of(0x01, Box::new(Chatter)),
+        ];
+        let run = net.run_stacks(&mut stacks, 3_000);
+        assert_eq!(run.terminal_after, Ok(None));
+        assert_eq!(run.activations_to_decision, None);
+        assert_eq!(run.unroutable, 2 + 1 + 1);
+        assert_eq!(run.bits, 3 * (16 + 8 * 2));
     }
 
     #[test]

@@ -25,15 +25,12 @@ use stigmergy::async_n::AsyncSwarm;
 use stigmergy::backup::Wireless;
 use stigmergy::paced::{Paced2, PacedConfig, PacedSwarm};
 use stigmergy::session::{
-    HardenedSession, Network, Pair, PairProtocol, SessionReport, SwarmProtocol,
+    self, HardenedSession, Network, Pair, PairProtocol, SessionReport, SwarmProtocol,
 };
 use stigmergy::sync2::Sync2;
 use stigmergy::sync_swarm::SyncSwarm;
-use stigmergy::{election_signature, CoreError, NamingScheme};
-use stigmergy_algo::{
-    agreement, election, flood, AgreementSession, ElectionSession, FloodSession, NodeStack,
-    Outgoing, Status,
-};
+use stigmergy::{CoreError, NamingScheme};
+use stigmergy_algo::Status;
 use stigmergy_geometry::{Point, Vec2};
 use stigmergy_robots::engine::DEFAULT_COLLISION_EPS;
 use stigmergy_robots::{Capabilities, Engine, ModelError, MovementProtocol};
@@ -371,8 +368,8 @@ pub struct SessionSpec {
     /// The protocol under test.
     pub protocol: ProtocolKind,
     /// The distributed algorithm to run over it, if any. Set only with
-    /// [`ProtocolKind::AsyncSwarm`], whose channel the algorithm driver
-    /// speaks.
+    /// [`ProtocolKind::AsyncSwarm`]: fleet runs algorithm sessions over
+    /// the §4 anonymous swarm.
     pub algorithm: Option<AlgorithmSpec>,
     /// The activation schedule (wrapped in `WakeAllFirst` at build time).
     pub schedule: ScheduleSpec,
@@ -946,42 +943,15 @@ fn run_hardened(spec: &SessionSpec) -> RunReport {
     run_report(spec, session.report(), steps, error, &encoder)
 }
 
-/// Queues a stack's outgoing frames on robot `i`'s protocol and returns
-/// their channel cost in bits: `bits(L) = 16 + 8L` per frame (16-bit
-/// header plus 8 bits per payload byte, one excursion per bit).
-fn enqueue_frames(
-    net: &mut Network<AsyncSwarm>,
-    i: usize,
-    out: Vec<Outgoing>,
-) -> Result<u64, String> {
-    let mut bits = 0;
-    for msg in out {
-        bits += 16 + 8 * msg.body().len() as u64;
-        match msg {
-            Outgoing::Broadcast { body } => net.engine_mut().protocol_mut(i).send_broadcast(&body),
-            Outgoing::Unicast { peer, body } => {
-                let to = net
-                    .robot_at(i, peer)
-                    .ok_or_else(|| format!("robot {i}: home {peer} is no robot"))?;
-                let label = net.label(i, to).map_err(error_text)?;
-                net.engine_mut().protocol_mut(i).send_label(label, &body);
-            }
-        }
-    }
-    Ok(bits)
-}
-
-/// Drives one distributed-algorithm session over the async-swarm
-/// movement channel.
+/// Runs one distributed-algorithm session over the async-swarm movement
+/// channel.
 ///
-/// The driver is the glue `DESIGN.md` §13 specifies: it builds each
-/// robot's [`NodeStack`], pumps delivered inbox frames into the stacks
-/// (peers are the robots' own home indices; [`Network`] translates them
-/// to addresses), and acts as the perfect failure detector — when the
-/// fault plan's crash-stop instant has passed, every surviving robot gets
-/// `suspect` (unwedging the §4.2 implicit-ack rule) and `on_crash`
-/// (unwedging the algorithm), in fixed robot order. The run ends when
-/// every live robot's stack is terminal, or the budget expires.
+/// Fleet builds the engine, runs the benign preprocessing instant, arms
+/// the fault plan, builds each robot's stack with
+/// [`Network::algorithm_stacks`], and hands the stacks to
+/// [`Network::run_stacks`] — the driver `DESIGN.md` §13 specifies, whose
+/// failure detector reads the armed plan's crash-stops. It then extracts
+/// the session decision.
 fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
     let n = spec.cohort;
     assert!(
@@ -1009,7 +979,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
     };
     let mut corrupt = 0;
     let (steps, error) =
-        match drive_algorithm(spec, algorithm, &plan, &mut net, &mut algo, &mut corrupt) {
+        match drive_algorithm(spec, algorithm, plan, &mut net, &mut algo, &mut corrupt) {
             Ok(steps) => (steps, None),
             Err(e) => (None, Some(e)),
         };
@@ -1030,7 +1000,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
 fn drive_algorithm(
     spec: &SessionSpec,
     algorithm: AlgorithmSpec,
-    plan: &FaultPlan,
+    plan: FaultPlan,
     net: &mut Network<AsyncSwarm>,
     algo: &mut AlgoOutcome,
     corrupt: &mut u64,
@@ -1039,112 +1009,25 @@ fn drive_algorithm(
     // One benign preprocessing instant (geometries build), then arm the
     // fault plan — the same shape as every other session.
     net.run(1).map_err(error_text)?;
-    net.engine_mut().set_fault_plan(plan.clone());
+    net.engine_mut().set_fault_plan(plan);
     if let Some(i) = (0..n).find(|&i| net.engine().protocol(i).geometry().is_none()) {
         return Err(format!("robot {i}: degenerate configuration, no geometry"));
     }
-    let home_of = |net: &Network<AsyncSwarm>, i: usize, j: usize| {
-        net.home_of(i, j)
-            .ok_or_else(|| format!("robot {i}: robot {j} not among its homes"))
-    };
-
-    // One stack per robot. All robots must agree on `max_rounds`; it
-    // derives from the plan's crash budget (`f + 1` FloodSet rounds).
-    let max_rounds = plan.crash_stops().len() as u64 + 1;
-    let proto_id = match algorithm {
-        AlgorithmSpec::Flood { .. } => flood::PROTOCOL_ID,
-        AlgorithmSpec::Election => election::PROTOCOL_ID,
-        AlgorithmSpec::Agreement { .. } => agreement::PROTOCOL_ID,
-    };
-    let mut stacks: Vec<NodeStack> = Vec::with_capacity(n);
-    for i in 0..n {
-        let session: Box<dyn stigmergy_algo::Session> = match algorithm {
-            AlgorithmSpec::Flood { initiator } if i == initiator => {
-                Box::new(FloodSession::initiator(spec.payload.clone(), n))
-            }
-            AlgorithmSpec::Flood { initiator } => {
-                Box::new(FloodSession::follower(home_of(net, i, initiator)?))
-            }
-            AlgorithmSpec::Election => {
-                // The election signature is similarity-invariant, so
-                // computing it from the world-frame snapshot equals each
-                // robot's own local-frame computation. Truncation to the
-                // 32-bit wire width preserves symmetry ties.
-                let sig = election_signature(net.engine().trace().initial(), i)
-                    .map_err(|e| format!("election signature: {e}"))?;
-                Box::new(ElectionSession::new(sig as u32, n))
-            }
-            AlgorithmSpec::Agreement { inputs } => {
-                Box::new(AgreementSession::new((inputs >> i) & 1 == 1, n, max_rounds))
-            }
-        };
-        let mut stack = NodeStack::new();
-        stack.register(proto_id, session);
-        stacks.push(stack);
-    }
-    for (i, stack) in stacks.iter_mut().enumerate() {
-        algo.bits += enqueue_frames(net, i, stack.start())?;
-    }
-
-    // The pump loop: step, strike newly-crashed robots, route fresh inbox
-    // frames, check termination.
-    let crash_list: Vec<(usize, u64)> = {
-        let mut list = plan.crash_stops().to_vec();
-        list.sort_unstable_by_key(|&(robot, time)| (time, robot));
-        list
-    };
-    let mut live = vec![true; n];
-    let mut notified = vec![false; n];
-    let mut cursor = vec![0usize; n];
-    let mut decided = None;
-    for taken in 1..=spec.budget() {
-        net.run(1).map_err(error_text)?;
-        let now = net.engine().stats().steps;
-        for &(robot, when) in &crash_list {
-            // `steps` counts executed instants, so `now > when` means
-            // instant `when` — where the engine froze the robot — has
-            // already run: the detector never accuses a live robot.
-            if notified[robot] || now <= when {
-                continue;
-            }
-            notified[robot] = true;
-            live[robot] = false;
-            for i in (0..n).filter(|&i| i != robot && live[i]) {
-                let h = home_of(net, i, robot)?;
-                net.engine_mut().protocol_mut(i).suspect(h);
-                algo.bits += enqueue_frames(net, i, stacks[i].on_crash(h))?;
-            }
-        }
-        for i in (0..n).filter(|&i| live[i]) {
-            let fresh: Vec<(usize, Vec<u8>)> = net.engine().protocol(i).inbox()[cursor[i]..]
-                .iter()
-                .map(|m| (m.sender, m.payload.clone()))
-                .collect();
-            cursor[i] += fresh.len();
-            for (sender, payload) in fresh {
-                algo.bits += enqueue_frames(net, i, stacks[i].on_frame(sender, &payload))?;
-            }
-        }
-        if (0..n)
-            .filter(|&i| live[i])
-            .all(|i| stacks[i].all_terminal())
-        {
-            decided = Some(taken);
-            algo.activations_to_decision = Some(net.engine().stats().activations);
-            break;
-        }
-    }
-    let Some(taken) = decided else {
+    let mut stacks = net
+        .algorithm_stacks(algorithm, &spec.payload)
+        .map_err(error_text)?;
+    let run = net.run_stacks(&mut stacks, spec.budget());
+    algo.bits = run.bits;
+    algo.activations_to_decision = run.activations_to_decision;
+    *corrupt = run.unroutable;
+    let Some(taken) = run.terminal_after.map_err(error_text)? else {
         return Ok(None); // timed out: counters stand, no decision
     };
 
     // Decision extraction.
+    let proto_id = session::algorithm_protocol_id(algorithm);
     let mut statuses = Vec::with_capacity(n);
-    for (i, stack) in stacks.iter().enumerate() {
-        *corrupt += stack.unroutable();
-        if !live[i] {
-            continue;
-        }
+    for (stack, _) in stacks.iter().zip(&run.live).filter(|(_, &live)| live) {
         algo.rounds = algo.rounds.max(stack.rounds_of(proto_id).unwrap_or(1));
         statuses.push(stack.status_of(proto_id).expect("session registered"));
     }
@@ -1154,7 +1037,7 @@ fn drive_algorithm(
             // The initiator's coverage count is the session decision
             // (followers decide 1). A crashed initiator leaves the
             // followers rejecting: terminal, but no decision.
-            if live[initiator] {
+            if run.live[initiator] {
                 algo.decision = stacks[initiator]
                     .status_of(proto_id)
                     .and_then(|s| s.decision());

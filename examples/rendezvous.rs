@@ -8,7 +8,8 @@
 //! dumb robots can exchange messages, classical swarm tasks follow. This
 //! example runs a complete mission with zero radio packets:
 //!
-//! 1. **Elect** a leader by max-nonce flooding over the movement channel.
+//! 1. **Elect** a leader by broadcasting election signatures over the
+//!    movement channel; the unique minimum wins.
 //! 2. **Agree on a point**: the leader broadcasts a rendezvous target
 //!    encoded in the only shared coordinate system anonymous robots have —
 //!    offsets from the smallest-enclosing-circle centre, in units of its
@@ -16,11 +17,13 @@
 //! 3. **Converge**: robots approach the target, each stopping on its own
 //!    ring (ranked by the leader's SEC naming) so nobody collides.
 
-use stigmergy::apps::{run_app, LeaderElection};
+use stigmergy::election_signatures;
 use stigmergy::naming::label_by_sec;
 use stigmergy::session::SyncNetwork;
+use stigmergy_algo::{election, Status};
 use stigmergy_geometry::{smallest_enclosing_circle, Point};
 use stigmergy_robots::{Engine, MovementProtocol, View};
+use stigmergy_scheduler::AlgorithmSpec;
 
 /// Phase-3 protocol: walk toward a (locally computed) target, stop on
 /// your assigned ring.
@@ -53,16 +56,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     // ---- Phase 1: leader election over movement signals --------------
+    // Each robot broadcasts the election signature of the configuration
+    // as seen from its position (similarity-invariant, so computing it
+    // from world positions here gives the same values); the unique
+    // minimum wins.
+    let signatures: Vec<u32> = election_signatures(&positions)?
+        .into_iter()
+        .map(|s| s as u32)
+        .collect();
     let mut net = SyncNetwork::anonymous_with_direction(positions.clone(), seed)?;
-    let nonces = [512u64, 77, 903, 268, 431];
-    let mut apps: Vec<LeaderElection> = nonces.iter().map(|&v| LeaderElection::new(v)).collect();
-    run_app(&mut net, &mut apps, 20, 400_000)?;
-    let leader = apps[0].leader().expect("settled");
-    assert!(apps.iter().all(|a| a.leader() == Some(leader)));
-    println!(
-        "phase 1: elected robot {leader} (nonce {})",
-        apps[0].best_nonce()
-    );
+    net.run(1)?; // every robot preprocesses its view
+    let mut stacks = net.algorithm_stacks(AlgorithmSpec::Election, b"")?;
+    net.run_stacks(&mut stacks, 400_000)
+        .terminal_after?
+        .ok_or("no decision within 400000 instants")?;
+    let winner = stacks[0]
+        .status_of(election::PROTOCOL_ID)
+        .and_then(|s| s.decision())
+        .ok_or("robot 0 did not decide")?;
+    assert!(stacks
+        .iter()
+        .all(|s| s.status_of(election::PROTOCOL_ID) == Some(Status::Decided(winner))));
+    let leader = signatures
+        .iter()
+        .position(|&s| u64::from(s) == winner)
+        .expect("the winner is a robot's signature");
+    println!("phase 1: elected robot {leader} (signature {winner:08x})");
 
     // ---- Phase 2: leader broadcasts the rendezvous point --------------
     // Encoded as (dx, dy) from the SEC centre in milli-radii — the shared
@@ -90,8 +109,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let bytes: Vec<u8> = if i == leader {
             payload.clone()
         } else {
+            // The leader's latest message; its election claim came first.
             net.inbox(i)
                 .into_iter()
+                .rev()
                 .find(|(s, _)| *s == leader)
                 .map(|(_, p)| p)
                 .expect("broadcast received")
